@@ -10,8 +10,8 @@ Exit status: 0 on success, 1 on domain errors (including malformed scenario
 content, reported with the offending field named), 2 on usage errors.
 
 Environment overrides, mirroring the flags: BAYESPOL_SEED, BAYESPOL_TRIALS,
-BAYESPOL_DENOMINATOR_BOUND, BAYESPOL_ORDER, BAYESPOL_MODE,
-BAYESPOL_UPPER_SET_CAP.
+BAYESPOL_DENOMINATOR_BOUND, BAYESPOL_ORDER, BAYESPOL_MODE.  A malformed
+value is a usage error that names the variable.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import orders
 from .actions import UtilityFamilyKind, tradeoff_curve
 from .bayes import LikelihoodFn, Signal, identified_set, simulate, update
 from .classifier import classify
@@ -86,16 +85,24 @@ def _parse_mass_vector(raw, field: str, space: StateSpace) -> list[Fraction]:
     return [_parse_fraction(v, f"{field}[{i}]") for i, v in enumerate(raw)]
 
 
+def _parse_index_vector(raw, field: str, space: StateSpace) -> tuple[int, ...]:
+    if not isinstance(raw, list) or len(raw) != space.ndim:
+        raise ScenarioError(
+            f"field '{field}': expected an index vector of length {space.ndim}"
+        )
+    for j, v in enumerate(raw):
+        # bool is an int subclass; JSON true/false are not indices
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ScenarioError(f"field '{field}[{j}]': expected an integer index, got {v!r}")
+    return tuple(raw)
+
+
 def _parse_states(raw, field: str, space: StateSpace) -> StateSubset:
     if not isinstance(raw, list) or not raw:
         raise ScenarioError(f"field '{field}': expected a nonempty list of index vectors")
-    states = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, list) or len(entry) != space.ndim:
-            raise ScenarioError(
-                f"field '{field}[{i}]': expected an index vector of length {space.ndim}"
-            )
-        states.append(tuple(int(v) for v in entry))
+    states = [
+        _parse_index_vector(entry, f"{field}[{i}]", space) for i, entry in enumerate(raw)
+    ]
     try:
         return StateSubset.from_states(space, states)
     except ValueError as exc:
@@ -121,7 +128,7 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(f"field 'dims': {exc}") from exc
 
     sc = Scenario(space=space, name=doc.get("name"), seed=doc.get("seed"))
-    if sc.seed is not None and not isinstance(sc.seed, int):
+    if sc.seed is not None and (isinstance(sc.seed, bool) or not isinstance(sc.seed, int)):
         raise ScenarioError("field 'seed': expected an integer")
 
     for field, attr in (("prior_low", "prior_low"), ("prior_high", "prior_high")):
@@ -166,11 +173,11 @@ def parse_scenario(doc: dict) -> Scenario:
     if "identified_set" in doc:
         sc.identified = _parse_states(doc["identified_set"], "identified_set", space)
     if "truth" in doc:
-        raw = doc["truth"]
-        if not isinstance(raw, list) or len(raw) != space.ndim:
-            raise ScenarioError(f"field 'truth': expected an index vector of length {space.ndim}")
-        sc.truth = tuple(int(v) for v in raw)
-        space.flat(sc.truth)  # bounds check
+        sc.truth = _parse_index_vector(doc["truth"], "truth", space)
+        try:
+            space.flat(sc.truth)  # bounds check
+        except ValueError as exc:
+            raise ScenarioError(f"field 'truth': {exc}") from exc
     if "utility" in doc:
         values = _parse_mass_vector(doc["utility"], "utility", space)
         sc.utility = tuple(values)
@@ -301,7 +308,7 @@ def _cmd_compare(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     low = _require(sc, "prior_low", "prior_low", "compare")
     high = _require(sc, "prior_high", "prior_high", "compare")
     kind = _ORDER_BY_FLAG[args.order]
-    verdict = compare(low, high, kind, cap=args.upper_set_cap)
+    verdict = compare(low, high, kind)
     return {"order": args.order, **_verdict_doc(verdict)}, None
 
 
@@ -467,14 +474,19 @@ _HANDLERS = {
 _NEEDS_SCENARIO = {"update", "compare", "classify", "construct", "polarize", "simulate"}
 
 
-def _env(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
+def _env(parser: argparse.ArgumentParser, name: str, cast, fallback, choices=None):
+    """Default for a flag from ``BAYESPOL_<name>``; a malformed value exits 2."""
+    var = ENV_PREFIX + name
+    raw = os.environ.get(var)
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
-        return fallback
+        parser.error(f"environment variable {var}: invalid {cast.__name__} value {raw!r}")
+    if choices is not None and value not in choices:
+        parser.error(f"environment variable {var}: {raw!r} is not one of {', '.join(choices)}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,29 +501,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("scenario", help="path to a JSON scenario file")
         p.add_argument(
             "--order",
-            choices=("st", "uo", "cw"),
-            default=_env("ORDER", str, "cw"),
+            choices=tuple(_ORDER_BY_FLAG),
+            default=_env(parser, "ORDER", str, "cw", tuple(_ORDER_BY_FLAG)),
             help="stochastic order: upper sets, upper orthants, or coordinatewise",
         )
         p.add_argument(
             "--mode",
-            choices=("oneshot", "limit"),
-            default=_env("MODE", str, "limit"),
+            choices=tuple(_MODE_BY_FLAG),
+            default=_env(parser, "MODE", str, "limit", tuple(_MODE_BY_FLAG)),
         )
-        p.add_argument("--seed", type=int, default=_env("SEED", int, None))
+        p.add_argument("--seed", type=int, default=_env(parser, "SEED", int, None))
         p.add_argument(
-            "--trials", type=int, default=_env("TRIALS", int, 10_000)
+            "--trials", type=int, default=_env(parser, "TRIALS", int, 10_000)
         )
         p.add_argument(
             "--denominator-bound",
             type=int,
-            default=_env("DENOMINATOR_BOUND", int, None),
+            default=_env(parser, "DENOMINATOR_BOUND", int, None),
             help="exhaustive prior grid with this common denominator",
-        )
-        p.add_argument(
-            "--upper-set-cap",
-            type=int,
-            default=_env("UPPER_SET_CAP", int, orders.DEFAULT_UPPER_SET_CAP),
         )
         p.add_argument("--table", help="also write the tabular output to this TSV file")
         p.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -175,11 +175,38 @@ def _family_masks(
 
 @lru_cache(maxsize=None)
 def _family_flats(
-    space: StateSpace, kind: UpperFamilyKind, cap: int
-) -> tuple[tuple[int, ...], ...]:
+    space: StateSpace, kind: UpperFamilyKind
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Each event of a scanned family as its flat indices and its mask."""
     return tuple(
-        StateSubset(space, m).flats() for m in _family_masks(space, kind, cap)
+        (StateSubset(space, m).flats(), m)
+        for m in _family_masks(space, kind, DEFAULT_UPPER_SET_CAP)
     )
+
+
+@lru_cache(maxsize=None)
+def _upper_set_tables(
+    space: StateSpace,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
+    """Per-space tables for deciding upper-set dominance.
+
+    ``up[f]`` is the mask of states at or above state ``f``, built by one
+    walk over the grid's cover edges f -> f + stride[axis] from the top down.
+    The projection events come as in ``_family_flats``.
+    """
+    shape, states = space.shape, space.states
+    strides = [
+        space.flat(tuple(int(j == axis) for j in range(space.ndim)))
+        for axis in range(space.ndim)
+    ]
+    up = [0] * space.size
+    for f in reversed(range(space.size)):
+        mask = 1 << f
+        for axis, stride in enumerate(strides):
+            if states[f][axis] + 1 < shape[axis]:
+                mask |= up[f + stride]
+        up[f] = mask
+    return tuple(up), _family_flats(space, UpperFamilyKind.UPPER_PROJECTION)
 
 
 def event_family(
@@ -217,60 +244,241 @@ def _check_shared_space(low: Belief, high: Belief) -> StateSpace:
     return low.space
 
 
-def compare(
-    low: Belief,
-    high: Belief,
-    kind: UpperFamilyKind,
-    strictness: Strictness = Strictness.ONE_EVENT,
-    cap: int = DEFAULT_UPPER_SET_CAP,
-) -> DominanceVerdict:
-    """Compare two beliefs on every event of the family.
+def _max_closure(up: Sequence[int], w: Sequence[int]) -> tuple[int, int]:
+    """Maximum of w(U) over upper sets U, and the smallest U attaining it.
 
-    Trivial events never distinguish distributions, so only proper nonempty
-    events are consulted.
+    Picard's reduction makes this a minimum cut; with the order taken
+    transitively (``up[f]`` is the mask of states at or above ``f``) the flow
+    is a transport: each state with w > 0 supplies w, each state with w < 0
+    demands -w, and supply moves to demand at or above it.  States with
+    w = 0 drop out.  A greedy fill, scarcest first, precedes shortest
+    augmenting paths, found breadth-first and alternating between moving
+    supply up and withdrawing an earlier shipment.  Once no augmenting path
+    is left, the supply still unshipped is the maximum, and the states above
+    the suppliers the last search reached form the source side of the cut:
+    the smallest maximising upper set, as a mask.
     """
-    space = _check_shared_space(low, high)
-    flats = _family_flats(space, kind, cap)
+    supply: dict[int, int] = {}
+    demand: dict[int, int] = {}
+    unmet = 0  # demand states still short
+    for f, x in enumerate(w):
+        if x > 0:
+            supply[f] = x
+        elif x < 0:
+            demand[f] = -x
+            unmet |= 1 << f
+    demand_mask = unmet
+    shipped: dict[tuple[int, int], int] = {}  # (a, b) -> amount moved from a up to b
+
+    # Greedy start: the highest suppliers have the fewest outlets, the lowest
+    # demands the fewest suppliers, so each goes first.
+    unspent = 0
+    for a in reversed(supply):  # keys ascend
+        left = supply[a]
+        outlets = up[a] & unmet
+        while outlets and left:
+            bit = outlets & -outlets
+            outlets ^= bit
+            b = bit.bit_length() - 1
+            need = demand[b]
+            if need > left:
+                shipped[a, b] = left
+                demand[b] = need - left
+                left = 0
+                break
+            shipped[a, b] = need
+            demand[b] = 0
+            unmet ^= bit
+            left -= need
+        supply[a] = left
+        unspent += left
+    if not unspent:
+        return 0, 0
+    feeders = dict.fromkeys(demand, 0)  # b -> mask of the a shipping to b
+    for a, b in shipped:
+        feeders[b] |= 1 << a
+
+    while True:
+        frontier = [a for a, left in supply.items() if left]
+        reached = 0  # suppliers reached
+        for a in frontier:
+            reached |= 1 << a
+        seen = 0  # demand states reached
+        via_supplier: dict[int, int] = {}  # demand b -> supplier that reached it
+        via_demand: dict[int, int] = {}  # supplier a -> demand b it was withdrawn from
+        end = -1
+        while frontier and end < 0:
+            nxt = []
+            for a in frontier:
+                fresh = up[a] & demand_mask & ~seen
+                if not fresh:
+                    continue
+                seen |= fresh
+                short = fresh & unmet
+                if short:
+                    end = (short & -short).bit_length() - 1
+                    via_supplier[end] = a
+                    break
+                while fresh:
+                    bit = fresh & -fresh
+                    fresh ^= bit
+                    b = bit.bit_length() - 1
+                    via_supplier[b] = a
+                    back = feeders[b] & ~reached
+                    reached |= back
+                    while back:
+                        lsb = back & -back
+                        back ^= lsb
+                        a2 = lsb.bit_length() - 1
+                        via_demand[a2] = b
+                        nxt.append(a2)
+            frontier = nxt
+        if end < 0:
+            cut = 0
+            while reached:
+                lsb = reached & -reached
+                reached ^= lsb
+                cut |= up[lsb.bit_length() - 1]
+            return sum(supply.values()), cut
+
+        # Walk back from the short demand to an unspent supplier: ship along
+        # each supplier -> demand step, withdraw along each demand -> supplier
+        # step, by the bottleneck amount.
+        steps = []
+        amount = demand[end]
+        b = end
+        while True:
+            a = via_supplier[b]
+            steps.append((a, b, 1))
+            if a not in via_demand:
+                break
+            b = via_demand[a]
+            steps.append((a, b, -1))
+            amount = min(amount, shipped[a, b])
+        start = a
+        amount = min(amount, supply[start])
+        for a, b, sign in steps:
+            x = shipped.get((a, b), 0) + sign * amount
+            if x:
+                shipped[a, b] = x
+                feeders[b] |= 1 << a
+            else:
+                del shipped[a, b]
+                feeders[b] &= ~(1 << a)
+        supply[start] -= amount
+        demand[end] -= amount
+        if not demand[end]:
+            unmet ^= 1 << end
+
+
+def _upper_set_gaps(
+    space: StateSpace, low: Belief, high: Belief, one_event: bool
+) -> tuple[Optional[int], Optional[int], bool]:
+    """Upper-set witnesses of low(U) > high(U) and of high(U) > low(U).
+
+    Projection events are upper sets, so they are scanned first and settle
+    most incomparable pairs; each direction they leave open costs one
+    ``_max_closure`` on the integer gaps w = low - high over a common
+    denominator.  The flag says whether the one direction with a gap has it
+    on every proper nonempty upper set; it is computed only for the
+    all-events convention.
+    """
+    up, projections = _upper_set_tables(space)
+    lden, hden = low.den, high.den
+    w = [a * hden - b * lden for a, b in zip(low.nums, high.nums)]
+    low_gt = high_gt = None
+    for flats, mask in projections:
+        gap = sum(map(w.__getitem__, flats))
+        if gap > 0:
+            if low_gt is None:
+                low_gt = mask
+        elif gap < 0 and high_gt is None:
+            high_gt = mask
+        if low_gt is not None and high_gt is not None:
+            return low_gt, high_gt, False
+    if low_gt is None:
+        value, cut = _max_closure(up, w)
+        if value > 0:
+            low_gt = cut
+    if high_gt is None:
+        value, cut = _max_closure(up, [-x for x in w])
+        if value > 0:
+            high_gt = cut
+    if one_event or (low_gt is None) == (high_gt is None):
+        return low_gt, high_gt, False
+    # The side with gaps has them everywhere iff no proper nonempty upper set
+    # reaches 0.  Those sets are exactly the ones holding the top and missing
+    # the bottom: the top's gap plus a closure of the states in between.
+    gaps = w if high_gt is not None else [-x for x in w]
+    inner = list(gaps)
+    inner[0] = inner[-1] = 0
+    return low_gt, high_gt, gaps[-1] + _max_closure(up, inner)[0] < 0
+
+
+def _scan_gaps(
+    space: StateSpace, kind: UpperFamilyKind, low: Belief, high: Belief, one_event: bool
+) -> tuple[Optional[int], Optional[int], bool]:
+    """Witnesses and all-events flag as in ``_upper_set_gaps``, found by
+    summing each event of a family small enough to list."""
+    events = _family_flats(space, kind)
     lnums, hnums = low.nums, high.nums
     lden, hden = low.den, high.den
-    one_event = strictness is Strictness.ONE_EVENT
-
-    low_gt = None  # event index where low(U) > high(U)
-    high_gt = None  # event index where high(U) > low(U)
+    low_gt = high_gt = None
     n_low_gt = n_high_gt = 0
-    for i, fl in enumerate(flats):
-        a = sum(lnums[f] for f in fl) * hden
-        b = sum(hnums[f] for f in fl) * lden
+    for flats, mask in events:
+        a = sum(lnums[f] for f in flats) * hden
+        b = sum(hnums[f] for f in flats) * lden
         if a > b:
             n_low_gt += 1
             if low_gt is None:
-                low_gt = i
+                low_gt = mask
             if one_event and high_gt is not None:
                 break
         elif a < b:
             n_high_gt += 1
             if high_gt is None:
-                high_gt = i
+                high_gt = mask
             if one_event and low_gt is not None:
                 break
+    n_gt = n_high_gt if high_gt is not None else n_low_gt
+    return low_gt, high_gt, n_gt == len(events)
 
-    def event(i: Optional[int]) -> Optional[StateSubset]:
-        return None if i is None else StateSubset.from_flats(space, flats[i])
 
+def compare(
+    low: Belief,
+    high: Belief,
+    kind: UpperFamilyKind,
+    strictness: Strictness = Strictness.ONE_EVENT,
+) -> DominanceVerdict:
+    """Compare two beliefs on every event of the family.
+
+    Trivial events never distinguish distributions, so only proper nonempty
+    events are consulted.  Upper sets are decided by minimum cuts, without
+    enumerating them; the other two families are scanned event by event.
+    """
+    space = _check_shared_space(low, high)
+    one_event = strictness is Strictness.ONE_EVENT
+    if kind is UpperFamilyKind.UPPER_SET:
+        low_gt, high_gt, everywhere = _upper_set_gaps(space, low, high, one_event)
+    else:
+        low_gt, high_gt, everywhere = _scan_gaps(space, kind, low, high, one_event)
     if low_gt is not None and high_gt is not None:
-        return DominanceVerdict(Relation.INCOMPARABLE, event(low_gt), event(high_gt))
+        return DominanceVerdict(
+            Relation.INCOMPARABLE,
+            StateSubset(space, low_gt),
+            StateSubset(space, high_gt),
+        )
     if low_gt is None and high_gt is None:
         return DominanceVerdict(Relation.EQUAL)
+    strict = one_event or everywhere
     if high_gt is not None:
-        strict = one_event or n_high_gt == len(flats)
         return DominanceVerdict(
             Relation.STRICTLY_BELOW if strict else Relation.WEAKLY_BELOW,
-            event(high_gt),
+            StateSubset(space, high_gt),
         )
-    strict = one_event or n_low_gt == len(flats)
     return DominanceVerdict(
         Relation.STRICTLY_ABOVE if strict else Relation.WEAKLY_ABOVE,
-        event(low_gt),
+        StateSubset(space, low_gt),
     )
 
 

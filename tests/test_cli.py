@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from bayespol import UpperFamilyKind, compare, limit
-from bayespol.cli import load_scenario, parse_scenario, run, scenario_to_doc
+from bayespol.cli import ScenarioError, load_scenario, parse_scenario, run, scenario_to_doc
 
 from conftest import DIAGONAL, MIRROR_HIGH, MIRROR_LOW
 
@@ -155,6 +156,34 @@ def test_floats_are_rejected(tmp_path, capsys):
     code = run(["update", str(path)])
     assert code == 1
     assert "p/q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value,named",
+    [
+        ("identified_set", [[0.9, 0], [1, 1.2]], "identified_set[0][0]"),
+        ("identified_set", [[0, 0], [1, 1.2]], "identified_set[1][1]"),
+        ("identified_set", [[0, 0], [True, 1]], "identified_set[1][0]"),
+        ("truth", [0, 1.0], "truth[1]"),
+        ("truth", [False, 0], "truth[0]"),
+        ("seed", True, "seed"),
+    ],
+)
+def test_index_fields_reject_floats_and_bools(field, value, named):
+    doc = dict(MIRROR_DOC, **{field: value})
+    with pytest.raises(ScenarioError, match=re.escape(f"'{named}'")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "var,value", [("BAYESPOL_TRIALS", "abc"), ("BAYESPOL_SEED", "1.5"), ("BAYESPOL_ORDER", "xx")]
+)
+def test_malformed_env_default_is_a_usage_error(monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--trials", "1"])
+    assert exc.value.code == 2
+    assert var in capsys.readouterr().err
 
 
 def test_domain_error_exits_one(tmp_path, capsys):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayespol import (
     Belief,
@@ -20,7 +21,13 @@ from bayespol import (
     event_family,
     leq,
 )
-from bayespol.orders import additive_parts, is_increasing, product_parts
+from bayespol.orders import (
+    _max_closure,
+    _upper_set_tables,
+    additive_parts,
+    is_increasing,
+    product_parts,
+)
 
 from conftest import (
     DIAGONAL,
@@ -35,6 +42,8 @@ from conftest import (
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
 CW = UpperFamilyKind.UPPER_PROJECTION
+
+GRID_2X2X2 = StateSpace.grid(2, 2, 2)
 
 # Frozen witnesses that the reverse order implications fail.  The first pair
 # is orthant-dominated yet incomparable on upper sets (the "upper L" event
@@ -186,6 +195,127 @@ def test_all_events_strictness_convention():
 def test_compare_rejects_mismatched_spaces():
     with pytest.raises(ValueError):
         compare(MIRROR_LOW, Belief.uniform(GRID_3X3), CW)
+
+
+# -- upper sets by minimum cut, against the enumerated family ----------------
+
+
+def _brute_force_relation(low, high, strictness):
+    """The relation from the definitions, over every enumerated upper set."""
+    signs = [
+        (low.prob(e) < high.prob(e)) - (low.prob(e) > high.prob(e))
+        for e in event_family(low.space, ST)
+    ]
+    below, above = 1 in signs, -1 in signs
+    if below and above:
+        return Relation.INCOMPARABLE
+    if not below and not above:
+        return Relation.EQUAL
+    sign = 1 if below else -1
+    strict = strictness is Strictness.ONE_EVENT or all(s == sign for s in signs)
+    if below:
+        return Relation.STRICTLY_BELOW if strict else Relation.WEAKLY_BELOW
+    return Relation.STRICTLY_ABOVE if strict else Relation.WEAKLY_ABOVE
+
+
+def _assert_matches_brute_force(low, high, strictness):
+    verdict = compare(low, high, ST, strictness)
+    assert verdict.relation is _brute_force_relation(low, high, strictness)
+    family = {e.mask for e in event_family(low.space, ST)}
+    expected = {
+        Relation.STRICTLY_BELOW: [(verdict.witness, 1)],
+        Relation.WEAKLY_BELOW: [(verdict.witness, 1)],
+        Relation.STRICTLY_ABOVE: [(verdict.witness, -1)],
+        Relation.WEAKLY_ABOVE: [(verdict.witness, -1)],
+        Relation.INCOMPARABLE: [(verdict.witness, -1), (verdict.opposite_witness, 1)],
+    }.get(verdict.relation, [])
+    for event, sign in expected:
+        assert event.mask in family
+        gap = high.prob(event) - low.prob(event)
+        assert (gap > 0) - (gap < 0) == sign
+
+
+def _moved_up(space, weights, moves):
+    """Shift integer mass from states to states at or above them."""
+    out = list(weights)
+    for src, dst, amount in moves:
+        src, dst = src % space.size, dst % space.size
+        if leq(space.state_at(src), space.state_at(dst)):
+            amount = min(amount, out[src])
+            out[src] -= amount
+            out[dst] += amount
+    return out
+
+
+@st.composite
+def _st_pairs(draw):
+    space = draw(st.sampled_from([GRID_2X2, GRID_2X3, GRID_3X3, GRID_2X2X2]))
+    weights = st.lists(
+        st.integers(min_value=0, max_value=9), min_size=space.size, max_size=space.size
+    ).filter(any)
+    low = draw(weights)
+    if draw(st.booleans()):
+        moves = st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(1, 9))
+        high = _moved_up(space, low, draw(st.lists(moves, max_size=12)))
+    else:
+        high = draw(weights)
+    low, high = Belief.from_weights(space, low), Belief.from_weights(space, high)
+    return (low, high) if draw(st.booleans()) else (high, low)
+
+
+@settings(max_examples=400)
+@given(_st_pairs(), st.sampled_from(list(Strictness)))
+def test_upper_set_compare_matches_enumeration(pair, strictness):
+    _assert_matches_brute_force(*pair, strictness)
+
+
+def test_upper_set_compare_matches_enumeration_on_3x3x3():
+    space = StateSpace.grid(3, 3, 3)
+    rng = random.Random(27)
+    for _ in range(6):
+        low = [rng.randint(1, 9) for _ in range(space.size)]
+        moves = [
+            (rng.randrange(space.size), rng.randrange(space.size), rng.randint(1, 9))
+            for _ in range(20)
+        ]
+        pairs = [(low, _moved_up(space, low, moves)),
+                 (low, [rng.randint(0, 9) or 1 for _ in range(space.size)])]
+        for lo, hi in pairs:
+            a, b = Belief.from_weights(space, lo), Belief.from_weights(space, hi)
+            for strictness in Strictness:
+                _assert_matches_brute_force(a, b, strictness)
+                _assert_matches_brute_force(b, a, strictness)
+
+
+@pytest.mark.parametrize("shape,trials", [((3, 3), 1500), ((2, 2, 2), 1500), ((3, 3, 3), 400)])
+def test_max_closure_matches_enumeration(shape, trials):
+    # Free integer weights defeat the greedy start far more often than
+    # belief gaps do, so the augmenting paths and their bottlenecks run.
+    space = StateSpace.grid(*shape)
+    up, _ = _upper_set_tables(space)
+    uppers = [0, space.full_mask] + [e.mask for e in event_family(space, ST)]
+    flats = {m: StateSubset(space, m).flats() for m in uppers}
+    rng = random.Random(sum(shape))
+    for _ in range(trials):
+        w = [rng.randint(-9, 9) for _ in range(space.size)]
+        totals = {m: sum(w[f] for f in flats[m]) for m in uppers}
+        best = max(totals.values())
+        value, cut = _max_closure(up, w)
+        assert value == best
+        assert totals[cut] == best
+        assert all(cut & ~m == 0 for m in uppers if totals[m] == best)
+
+
+def test_upper_set_all_events_needs_every_proper_upper_set():
+    # Mass moved from the bottom to the middle of the top row leaves the
+    # top corner's mass equal, so the order is strict on one event only.
+    low = Belief.from_weights(GRID_2X3, (2, 1, 1, 1, 1, 1))
+    high = Belief.from_weights(GRID_2X3, (1, 1, 1, 1, 2, 1))
+    assert compare(low, high, ST).relation is Relation.STRICTLY_BELOW
+    verdict = compare(low, high, ST, Strictness.ALL_EVENTS)
+    assert verdict.relation is Relation.WEAKLY_BELOW
+    mover = Belief.from_weights(GRID_2X3, (1, 1, 1, 1, 1, 2))
+    assert compare(low, mover, ST, Strictness.ALL_EVENTS).relation is Relation.STRICTLY_BELOW
 
 
 # -- strong coordinatewise ---------------------------------------------------
