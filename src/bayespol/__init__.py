@@ -52,7 +52,6 @@ from .orders import (
     compare,
     compare_by_generators,
     compare_strong_cw,
-    enumerate_events,
     event_family,
 )
 from .polarization import (

@@ -10,7 +10,6 @@ impossibility results.
 """
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -26,15 +25,9 @@ from .construct import (
     mirror_extremes_instance,
     mirror_extremes_threshold,
 )
-from .orders import (
-    UpperFamilyKind,
-    additive_parts,
-    canonical_basis,
-    in_generating_class,
-    is_increasing,
-    product_parts,
-)
+from .orders import UpperFamilyKind, _generating_basis, in_generating_class
 from .polarization import Mode
+from .verifier import SweepConfig, _trials
 
 
 class UtilityFamilyKind(Enum):
@@ -69,15 +62,7 @@ class UtilityFn:
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise ValueError("one utility value per state required")
-        if self.kind is UtilityFamilyKind.INCREASING:
-            ok = is_increasing(self.space, values)
-        elif self.kind is UtilityFamilyKind.SUMS_OF_INCREASING:
-            ok = additive_parts(self.space, values) is not None and is_increasing(
-                self.space, values
-            )
-        else:
-            ok = product_parts(self.space, values) is not None
-        if not ok:
+        if not in_generating_class(self.space, values, _FAMILY_ORDER[self.kind]):
             raise ValueError(f"values do not belong to the {self.kind.value} family")
 
     @property
@@ -159,19 +144,6 @@ class FamilySearchOutcome:
     sweep: Optional[FamilySweepEvidence]
 
 
-def _basis_values(
-    space: StateSpace, family: UtilityFamilyKind, basis
-) -> tuple[tuple[Fraction, ...], ...]:
-    order = _FAMILY_ORDER[family]
-    if basis is None:
-        return canonical_basis(space, order)
-    funcs = tuple(tuple(frac(v) for v in u) for u in basis)
-    for u in funcs:
-        if not in_generating_class(space, u, order):
-            raise ValueError(f"basis function {u} is outside the {family.value} family")
-    return funcs
-
-
 def _all_basis_movements_polarize(
     basis: Sequence[Sequence[Fraction]],
     prior_low: Belief,
@@ -202,11 +174,12 @@ def family_polarization_search(
     For additively separable families any mode works: the mirror-extremes
     priors move every nonconstant member's expectations apart.  For the
     product family only the one-shot concentrated-priors instance exists.
-    The remaining cells run a seeded random sweep over priors and evidence,
-    counting trials where every basis member's expectations strictly diverge;
-    the returned evidence records that none were found.
+    The remaining cells run the verifier's seeded random trials on ``space``
+    (the family's order, ``trials``, ``seed`` and ``mass_bound``), counting
+    trials where every basis member's expectations strictly diverge; the
+    returned evidence records that none were found.
     """
-    funcs = _basis_values(space, family, basis)
+    funcs = _generating_basis(space, _FAMILY_ORDER[family], basis)
 
     if (family, mode) in _POSSIBLE_CELLS:
         if family is UtilityFamilyKind.SUMS_OF_INCREASING:
@@ -235,22 +208,14 @@ def family_polarization_search(
             raise AssertionError("internal error: basis movement check failed")
         return FamilySearchOutcome(family, mode, True, inst, None, inst.likelihood, None)
 
+    config = SweepConfig(
+        _FAMILY_ORDER[family], mode, space.shape,
+        trials=trials, seed=seed, mass_bound=mass_bound,
+    )
     start = time.perf_counter()
     hits: list[dict] = []
-    size = space.size
-    levels = (Fraction(0), Fraction(1, 2), Fraction(1))
-    for t in range(trials):
-        rng = random.Random(f"{seed}:{t}")
-        pl = Belief.from_weights(space, [rng.randint(1, mass_bound) for _ in range(size)])
-        ph = Belief.from_weights(space, [rng.randint(1, mass_bound) for _ in range(size)])
-        if mode is Mode.LIMIT:
-            mask = rng.randrange(1, space.full_mask)
-            evidence = StateSubset(space, mask)
-        else:
-            values = [levels[rng.randrange(3)] for _ in range(size)]
-            if all(v == 0 for v in values):
-                values[rng.randrange(size)] = Fraction(1)
-            evidence = LikelihoodFn.from_fractions(space, values)
+    for pl, ph, ell, ident in _trials(config, space):
+        evidence = ell if ident is None else ident
         if _all_basis_movements_polarize(funcs, pl, ph, evidence):
             hits.append(
                 {

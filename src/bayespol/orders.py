@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Belief, RationalLike, StateSpace, StateSubset, frac, leq
 
@@ -216,21 +216,6 @@ def event_family(
 ) -> tuple[StateSubset, ...]:
     """Proper nonempty events of the family, cached per space."""
     return tuple(StateSubset(space, m) for m in _family_masks(space, kind, cap))
-
-
-def enumerate_events(
-    space: StateSpace,
-    kind: UpperFamilyKind,
-    include_trivial: bool = False,
-    cap: int = DEFAULT_UPPER_SET_CAP,
-) -> Iterator[StateSubset]:
-    """Yield the family's events; trivial means the empty set and all of it."""
-    if include_trivial:
-        yield StateSubset.empty(space)
-    for event in event_family(space, kind, cap):
-        yield event
-    if include_trivial:
-        yield StateSubset.full(space)
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +609,25 @@ def canonical_basis(
     return tuple(singles) + tuple(sums)
 
 
+def _generating_basis(
+    space: StateSpace,
+    kind: UpperFamilyKind,
+    basis: Optional[Sequence[Sequence[RationalLike]]] = None,
+    cap: int = DEFAULT_UPPER_SET_CAP,
+) -> tuple[tuple[Fraction, ...], ...]:
+    """The canonical basis, or the given functions checked against the order's
+    generating class and coerced to exact rationals."""
+    if basis is None:
+        return canonical_basis(space, kind, cap)
+    funcs = tuple(tuple(frac(v) for v in u) for u in basis)
+    for u in funcs:
+        if not in_generating_class(space, u, kind):
+            raise ValueError(
+                f"basis function {u} is not in the generating class for {kind.value}"
+            )
+    return funcs
+
+
 def compare_by_generators(
     low: Belief,
     high: Belief,
@@ -637,16 +641,7 @@ def compare_by_generators(
     Basis functions must belong to the order's generating class.
     """
     space = _check_shared_space(low, high)
-    if basis is None:
-        funcs = canonical_basis(space, kind, cap)
-    else:
-        funcs = tuple(tuple(frac(v) for v in u) for u in basis)
-        for u in funcs:
-            if not in_generating_class(space, u, kind):
-                raise ValueError(
-                    f"basis function {u} is not in the generating class for {kind.value}"
-                )
-    for u in funcs:
+    for u in _generating_basis(space, kind, basis, cap):
         if low.expectation(u) > high.expectation(u):
             return False
     return True

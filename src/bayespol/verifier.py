@@ -10,11 +10,12 @@ trial index, and all arithmetic is exact.
 """
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _cartesian
+from itertools import combinations, product as _cartesian
 from typing import Iterator, Optional
 
 from .bayes import LikelihoodFn
@@ -56,7 +57,15 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if self.denominator_bound is None and self.trials < 1:
-            raise ValueError("trial count must be at least 1")
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        states = math.prod(self.dims)
+        if self.denominator_bound is not None and self.denominator_bound < states:
+            raise ValueError(
+                f"denominator_bound {self.denominator_bound} admits no full-support"
+                f" prior on {states} states"
+            )
+        if self.identified_set is not None and self.mode is not Mode.LIMIT:
+            raise ValueError("identified_set pins limit evidence; mode must be limit")
 
     @property
     def space(self) -> StateSpace:
@@ -102,21 +111,21 @@ class SweepReport:
         return bool(self.counterexamples)
 
 
-def _compositions(total: int, parts: int, minimum: int) -> Iterator[tuple[int, ...]]:
-    """Integer vectors of the given length and sum, each entry >= minimum."""
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Positive integer vectors of the given length and sum, lexicographically.
+
+    Stars and bars: the entries are the gaps between ``parts - 1`` ascending
+    cut points chosen from ``1 .. total - 1``.
+    """
+    for cuts in combinations(range(1, total), parts - 1):
+        bounds = (0, *cuts, total)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def _exhaustive_priors(space: StateSpace, denominator: int) -> list[Belief]:
     return [
         Belief(space, nums, denominator)
-        for nums in _compositions(denominator, space.size, 1)
+        for nums in _compositions(denominator, space.size)
     ]
 
 
@@ -158,39 +167,27 @@ def _random_strong_pair(
             return b, a
 
 
-def _evaluate(
-    config: SweepConfig,
-    pl: Belief,
-    ph: Belief,
-    ell: Optional[LikelihoodFn],
-    identified: Optional[StateSubset],
-) -> Optional[SweepHit]:
-    if config.mode is Mode.ONE_SHOT:
-        assert ell is not None
-        report = one_shot(config.kind, pl, ph, ell)
-    else:
-        assert identified is not None
-        report = limit(config.kind, pl, ph, identified, strong_middle=config.strong)
-    if report.verdict:
-        return SweepHit(pl, ph, ell, identified, report)
-    return None
+_Trial = tuple[Belief, Belief, Optional[LikelihoodFn], Optional[StateSubset]]
 
 
-def sweep(config: SweepConfig) -> SweepReport:
-    """Run one cell's search and collect every polarization hit."""
-    start = time.perf_counter()
-    space = config.space
+def _trials(config: SweepConfig, space: StateSpace) -> Iterator[_Trial]:
+    """The plan's trials on ``space``: prior pair, likelihood, evidence set.
+
+    One-shot trials carry a likelihood and limit trials an evidence set.
+    Exhaustive mode runs every prior pair (strongly ordered ones only, under
+    ``strong``) against every piece of evidence.  Random mode draws trial
+    ``t`` from its own generator seeded ``f"{seed}:{t}"``: the prior pair,
+    then the likelihood or, unless one is pinned, the evidence set.
+    """
+    one_shot_mode = config.mode is Mode.ONE_SHOT
     pinned = (
         StateSubset.from_states(space, config.identified_set)
         if config.identified_set is not None
         else None
     )
-    hits: list[SweepHit] = []
-    trials_run = 0
-
     if config.denominator_bound is not None:
         priors = _exhaustive_priors(space, config.denominator_bound)
-        if config.mode is Mode.ONE_SHOT:
+        if one_shot_mode:
             evidence = [
                 (ell, None) for ell in _exhaustive_likelihoods(space, config.likelihood_levels)
             ]
@@ -206,11 +203,8 @@ def sweep(config: SweepConfig) -> SweepReport:
                 if config.strong and not compare_strong_cw(pl, ph):
                     continue
                 for ell, ident in evidence:
-                    trials_run += 1
-                    hit = _evaluate(config, pl, ph, ell, ident)
-                    if hit is not None:
-                        hits.append(hit)
-        return SweepReport(config, trials_run, tuple(hits), time.perf_counter() - start)
+                    yield pl, ph, ell, ident
+        return
 
     for t in range(config.trials):
         rng = random.Random(f"{config.seed}:{t}")
@@ -219,16 +213,27 @@ def sweep(config: SweepConfig) -> SweepReport:
         else:
             pl = _random_belief(rng, space, config.mass_bound)
             ph = _random_belief(rng, space, config.mass_bound)
-        ell = None
-        ident = pinned
-        if config.mode is Mode.ONE_SHOT:
-            ell = _random_likelihood(rng, space, config.likelihood_levels)
-        elif ident is None:
-            ident = StateSubset(space, rng.randrange(1, space.full_mask))
+        if one_shot_mode:
+            yield pl, ph, _random_likelihood(rng, space, config.likelihood_levels), None
+        elif pinned is not None:
+            yield pl, ph, None, pinned
+        else:
+            yield pl, ph, None, StateSubset(space, rng.randrange(1, space.full_mask))
+
+
+def sweep(config: SweepConfig) -> SweepReport:
+    """Run one cell's search and collect every polarization hit."""
+    start = time.perf_counter()
+    hits: list[SweepHit] = []
+    trials_run = 0
+    for pl, ph, ell, ident in _trials(config, config.space):
         trials_run += 1
-        hit = _evaluate(config, pl, ph, ell, ident)
-        if hit is not None:
-            hits.append(hit)
+        if config.mode is Mode.ONE_SHOT:
+            report = one_shot(config.kind, pl, ph, ell)
+        else:
+            report = limit(config.kind, pl, ph, ident, strong_middle=config.strong)
+        if report.verdict:
+            hits.append(SweepHit(pl, ph, ell, ident, report))
     return SweepReport(config, trials_run, tuple(hits), time.perf_counter() - start)
 
 
@@ -256,23 +261,24 @@ class DirectionSweepReport:
 
 
 def direction_consistency_sweep(config: SweepConfig) -> DirectionSweepReport:
-    """Check the two direction restrictions on random posterior movements.
+    """Check the two direction restrictions on posterior movements.
 
     At min- and max-likelihood states both agents must move the same way, and
     a strict one-way crossing forbids even weakly opposite movement anywhere.
     The state structure is irrelevant here, so ``dims`` may describe a plain
     finite set via a single axis (the grid order is never consulted).
-    Constant likelihoods move nothing and are skipped.
+    Trials are the one-shot sweep's, random or exhaustive; constant
+    likelihoods move nothing and are skipped.
     """
+    if config.mode is not Mode.ONE_SHOT:
+        raise ValueError("mode must be oneshot: the direction sweep draws likelihoods")
+    if config.strong:
+        raise ValueError("strong does not apply to the direction sweep")
     start = time.perf_counter()
-    space = config.space
     violations: list[DirectionViolation] = []
-    skipped = 0
-    for t in range(config.trials):
-        rng = random.Random(f"{config.seed}:{t}")
-        p = _random_belief(rng, space, config.mass_bound)
-        p_other = _random_belief(rng, space, config.mass_bound)
-        ell = _random_likelihood(rng, space, config.likelihood_levels)
+    trials_run = skipped = 0
+    for p, p_other, ell, _ in _trials(config, config.space):
+        trials_run += 1
         if ell.is_constant:
             skipped += 1
             continue
@@ -284,7 +290,7 @@ def direction_consistency_sweep(config: SweepConfig) -> DirectionSweepReport:
                 )
             )
     return DirectionSweepReport(
-        config, config.trials, skipped, tuple(violations), time.perf_counter() - start
+        config, trials_run, skipped, tuple(violations), time.perf_counter() - start
     )
 
 

@@ -6,15 +6,24 @@ import pytest
 from bayespol import (
     LikelihoodFn,
     Mode,
+    StateSpace,
+    StateSubset,
+    Strictness,
+    UpperFamilyKind,
     UtilityFamilyKind,
     UtilityFn,
     action_polarizes,
     build_polarizing_priors,
+    canonical_basis,
+    compare,
     compare_strong_cw,
     diagonal_tradeoff_priors,
     family_polarization_search,
+    find_one_shot_orthant_instance,
     tradeoff_curve,
 )
+from bayespol.actions import _all_basis_movements_polarize, _posterior
+from bayespol.verifier import _random_belief, _random_likelihood
 
 from conftest import DIAGONAL, GRID_2X2, MIRROR_HIGH, MIRROR_LOW
 
@@ -110,6 +119,51 @@ def test_impossible_cells_find_nothing(family, mode):
     assert not outcome.possible
     assert outcome.sweep.trials == 800
     assert outcome.sweep.hits == ()
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_family_search_rejects_empty_sweeps(trials):
+    with pytest.raises(ValueError, match="trials"):
+        family_polarization_search(INCREASING, Mode.LIMIT, GRID_2X2, trials=trials)
+
+
+def _moves_apart_on_all_events(kind, low, high, evidence):
+    strict = Strictness.ALL_EVENTS
+    return (
+        compare(_posterior(low, evidence), low, kind, strict).strictly_below
+        and compare(high, _posterior(high, evidence), kind, strict).strictly_below
+    )
+
+
+def test_basis_predicate_is_all_events_strict_movement():
+    # By generator duality, every canonical basis function moving strictly
+    # apart is the low link and the high link each strictly below on every
+    # event of the order's family.
+    orthant = find_one_shot_orthant_instance(GRID_2X2, F(1, 2), require_all_strict=True)
+    cases = [
+        (UpperFamilyKind.UPPER_PROJECTION, MIRROR_LOW, MIRROR_HIGH, DIAGONAL),
+        (UpperFamilyKind.UPPER_ORTHANT, orthant.prior_low, orthant.prior_high,
+         orthant.likelihood),
+    ]
+    rng = random.Random(8)
+    levels = (F(0), F(1, 2), F(1))
+    for shape in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        space = StateSpace.grid(*shape)
+        for kind in UpperFamilyKind:
+            for _ in range(200):
+                low = _random_belief(rng, space, 12)
+                high = _random_belief(rng, space, 12)
+                cases.append((kind, low, high, _random_likelihood(rng, space, levels)))
+                cases.append(
+                    (kind, low, high, StateSubset(space, rng.randrange(1, space.full_mask)))
+                )
+    positives = 0
+    for kind, low, high, evidence in cases:
+        basis = canonical_basis(low.space, kind)
+        expected = _moves_apart_on_all_events(kind, low, high, evidence)
+        assert _all_basis_movements_polarize(basis, low, high, evidence) == expected
+        positives += expected
+    assert positives > 2
 
 
 def test_family_table_matches_order_possibilities():

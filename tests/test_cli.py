@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +211,23 @@ def test_report_out_file(mirror_scenario, tmp_path, capsys):
     code = run(["classify", mirror_scenario, "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["can_strongly_polarize"] is True
+
+
+def test_closed_reader_exits_without_a_traceback():
+    # ``bayespol sweep ... | head -1``: the reader closes before the report
+    # is written.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("BAYESPOL_")}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from bayespol.cli import main; main()",
+         "sweep", "--dims", "2x2", "--trials", "50"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

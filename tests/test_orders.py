@@ -17,7 +17,6 @@ from bayespol import (
     compare,
     compare_by_generators,
     compare_strong_cw,
-    enumerate_events,
     event_family,
     leq,
 )
@@ -69,11 +68,9 @@ def test_2x2_upper_sets_include_the_upper_l():
 def test_2x2_orthants_nonempty_are_four():
     # Counting the whole grid (itself an orthant) there are four; the proper
     # nonempty family used by comparators drops it.
-    nonempty = [
-        e for e in enumerate_events(GRID_2X2, UO, include_trivial=True) if not e.is_empty
-    ]
-    assert len(nonempty) == 4
-    assert len(event_family(GRID_2X2, UO)) == 3
+    proper = {e.states() for e in event_family(GRID_2X2, UO)}
+    assert proper == {((1, 1),), ((0, 1), (1, 1)), ((1, 0), (1, 1))}
+    assert len(proper | {GRID_2X2.states}) == 4
 
 
 def test_projection_count_is_sum_of_axis_cuts():

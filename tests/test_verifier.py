@@ -1,23 +1,34 @@
+import hashlib
+import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
+import bayespol.actions as actions_module
+import bayespol.verifier as verifier_module
 from bayespol import (
     Mode,
     StateSpace,
     SweepConfig,
     UpperFamilyKind,
+    UtilityFamilyKind,
     direction_analysis,
     direction_consistency_sweep,
+    family_polarization_search,
     opposite_direction_witness,
     sweep,
 )
 
-from conftest import DIAGONAL
+from bayespol.verifier import _compositions
+
+from conftest import DIAGONAL, GRID_2X2
 
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
 CW = UpperFamilyKind.UPPER_PROJECTION
+PRODUCTS = UtilityFamilyKind.PRODUCTS_OF_NONNEG_INCREASING
+INCREASING = UtilityFamilyKind.INCREASING
 
 
 def test_sweep_reports_are_reproducible_bit_exactly():
@@ -100,6 +111,23 @@ def test_strong_sweep_on_the_diagonal_can_succeed():
 def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(CW, Mode.LIMIT, (2, 2), trials=0)
+    with pytest.raises(ValueError, match="trials"):
+        SweepConfig(CW, Mode.LIMIT, (2, 2), trials=-1)
+    # 3 is below the 4 states of 2x2: no full-support prior, so no trial
+    with pytest.raises(ValueError, match="denominator_bound"):
+        SweepConfig(CW, Mode.LIMIT, (2, 2), denominator_bound=3)
+    # one-shot trials draw likelihoods, never an evidence set
+    with pytest.raises(ValueError, match="identified_set"):
+        SweepConfig(CW, Mode.ONE_SHOT, (2, 2), identified_set=((1, 1),))
+
+
+def test_compositions_are_every_positive_vector_in_lexicographic_order():
+    for total in range(1, 9):
+        for parts in range(1, 5):
+            expected = sorted(
+                v for v in product(range(1, total + 1), repeat=parts) if sum(v) == total
+            )
+            assert list(_compositions(total, parts)) == expected
 
 
 # -- direction sweep -----------------------------------------------------------
@@ -111,6 +139,30 @@ def test_direction_sweep_runs_clean_on_grids_and_flat_sets():
         report = direction_consistency_sweep(config)
         assert report.violations == ()
         assert report.trials_run == 1500
+
+
+def test_direction_sweep_rejects_fields_it_would_ignore():
+    with pytest.raises(ValueError, match="mode"):
+        direction_consistency_sweep(SweepConfig(ST, Mode.LIMIT, (2, 2), trials=10))
+    with pytest.raises(ValueError, match="mode"):
+        direction_consistency_sweep(
+            SweepConfig(ST, Mode.LIMIT, (2, 2), trials=10, identified_set=((1, 1),))
+        )
+    with pytest.raises(ValueError, match="strong"):
+        direction_consistency_sweep(
+            SweepConfig(ST, Mode.ONE_SHOT, (2, 2), trials=10, strong=True)
+        )
+
+
+def test_exhaustive_direction_sweep_runs_the_grid():
+    report = direction_consistency_sweep(
+        SweepConfig(ST, Mode.ONE_SHOT, (4,), denominator_bound=5)
+    )
+    # 4 full-support priors with denominator 5, squared, times 3^4 - 1 grids,
+    # of which the two nonzero constant ones are skipped
+    assert report.trials_run == 4 * 4 * 80
+    assert report.skipped_constant == 4 * 4 * 2
+    assert report.violations == ()
 
 
 def test_direction_sweep_skips_constant_likelihoods():
@@ -133,3 +185,139 @@ def test_opposite_direction_witness_splits_all_middle_states():
     # extremes move together
     assert outcome.table.low_signs[0] == outcome.table.high_signs[0] == -1
     assert outcome.table.low_signs[-1] == outcome.table.high_signs[-1] == 1
+
+
+# -- pinned trial streams --------------------------------------------------------
+
+
+def _draw_key(obj):
+    """Beliefs and likelihoods by their integer weights, subsets by mask."""
+    mask = getattr(obj, "mask", None)
+    return mask if mask is not None else [list(obj.nums), obj.den]
+
+
+def _sweep_case(config):
+    def run():
+        report = sweep(config)
+        return report.trials_run, [
+            [_draw_key(h.prior_low), _draw_key(h.prior_high)]
+            for h in report.counterexamples
+        ]
+
+    return run
+
+
+def _direction_case(config):
+    def run():
+        report = direction_consistency_sweep(config)
+        return [report.trials_run, report.skipped_constant], [
+            [_draw_key(v.prior), _draw_key(v.prior_other)] for v in report.violations
+        ]
+
+    return run
+
+
+def _family_case(family, mode):
+    def run():
+        outcome = family_polarization_search(family, mode, GRID_2X2, trials=200, seed=77)
+        return outcome.sweep.trials, [
+            [_draw_key(h["prior_low"]), _draw_key(h["prior_high"])]
+            for h in outcome.sweep.hits
+        ]
+
+    return run
+
+
+_STREAM_CASES = {
+    "st-oneshot-2x3": (
+        _sweep_case(SweepConfig(ST, Mode.ONE_SHOT, (2, 3), trials=200, seed=101)),
+        "c0fa03ff13d50ed4",
+    ),
+    "cw-oneshot-2x2": (
+        _sweep_case(SweepConfig(CW, Mode.ONE_SHOT, (2, 2), trials=200, seed=5)),
+        "e9c271e654304145",
+    ),
+    "uo-limit-3x3": (
+        _sweep_case(SweepConfig(UO, Mode.LIMIT, (3, 3), trials=200, seed=202)),
+        "ed26103bceef3386",
+    ),
+    "cw-limit-2x2": (
+        _sweep_case(SweepConfig(CW, Mode.LIMIT, (2, 2), trials=200, seed=42)),
+        "ed62cc0f5ba43da1",
+    ),
+    "cw-strong-pinned-2x2": (
+        _sweep_case(
+            SweepConfig(
+                CW, Mode.LIMIT, (2, 2), trials=200, seed=3, strong=True,
+                identified_set=((0, 0), (1, 1)),
+            )
+        ),
+        "eecf47e22661ab9e",
+    ),
+    "cw-strong-2x3": (
+        _sweep_case(
+            SweepConfig(CW, Mode.LIMIT, (2, 3), trials=200, seed=9, strong=True)
+        ),
+        "b179cf524676945a",
+    ),
+    "cw-pinned-2x2": (
+        _sweep_case(
+            SweepConfig(
+                CW, Mode.LIMIT, (2, 2), trials=200, seed=4,
+                identified_set=((0, 1), (1, 0)),
+            )
+        ),
+        "0b28ce69c23a7a0c",
+    ),
+    "cw-exhaustive-2x2": (
+        _sweep_case(SweepConfig(CW, Mode.LIMIT, (2, 2), denominator_bound=5)),
+        "677939156de3467e",
+    ),
+    "cw-exhaustive-strong-2x2": (
+        _sweep_case(
+            SweepConfig(
+                CW, Mode.LIMIT, (2, 2), denominator_bound=6, strong=True,
+                identified_set=((0, 0), (1, 1)),
+            )
+        ),
+        "2667703c8b279bc5",
+    ),
+    "direction-2x2": (
+        _direction_case(SweepConfig(ST, Mode.ONE_SHOT, (2, 2), trials=200, seed=1)),
+        "3a282c5e498d1fc7",
+    ),
+    "family-products-limit": (_family_case(PRODUCTS, Mode.LIMIT), "946d85b061b0048b"),
+    "family-increasing-oneshot": (_family_case(INCREASING, Mode.ONE_SHOT), "b9fc6820a61bb6be"),
+    "family-increasing-limit": (_family_case(INCREASING, Mode.LIMIT), "946d85b061b0048b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STREAM_CASES))
+def test_trial_streams_match_their_pinned_digests(case, monkeypatch):
+    """The priors and evidence every trial hands its predicate, the trial
+    count and the hits hash to a fixed digest per seeded case."""
+    draws = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def predicate(*args, **kwargs):
+            draws.append([_draw_key(x) for x in args[-3:]])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, predicate)
+
+    recording(verifier_module, "one_shot")
+    recording(verifier_module, "limit")
+    recording(actions_module, "_all_basis_movements_polarize")
+
+    def direction(p, p_other, ell):
+        draws.append([_draw_key(p), _draw_key(p_other), _draw_key(ell)])
+        return direction_analysis(p, p_other, ell)
+
+    monkeypatch.setattr(verifier_module, "direction_analysis", direction)
+    run, expected = _STREAM_CASES[case]
+    trials, hits = run()
+    payload = json.dumps([trials, hits, draws])
+    assert 0 < len(draws) <= 1500
+    assert hashlib.sha256(payload.encode()).hexdigest()[:16] == expected
