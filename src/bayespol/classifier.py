@@ -3,52 +3,30 @@
 A proper nonempty subset can support persistent coordinatewise polarization
 exactly when it and its complement are spanning, it is balanced (biased
 neither downward nor upward), and it is non-compensatory.  The predicates
-quantify over grid states as pivots; precomputed order masks make the scans
-cheap enough for exhaustive subset sweeps.
+quantify over grid states as pivots; the space's order cones, as bitmasks,
+make the scans cheap enough for exhaustive subset sweeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from .core import State, StateSpace, StateSubset, leq, ll
+from .core import State, StateSpace, StateSubset
 
 
-class _Cones:
-    """Per-state bitmasks of the weak/strict order cones."""
-
-    __slots__ = ("below_weak", "above_weak", "below_strict", "above_strict")
-
-    def __init__(self, space: StateSpace) -> None:
-        states = space.states
-        n = space.size
-        self.below_weak = [0] * n   # {g : g <= f}
-        self.above_weak = [0] * n   # {g : g >= f}
-        self.below_strict = [0] * n  # {g : g << f}
-        self.above_strict = [0] * n  # {g : g >> f}
-        for f in range(n):
-            for g in range(n):
-                if leq(states[g], states[f]):
-                    self.below_weak[f] |= 1 << g
-                if leq(states[f], states[g]):
-                    self.above_weak[f] |= 1 << g
-                if ll(states[g], states[f]):
-                    self.below_strict[f] |= 1 << g
-                if ll(states[f], states[g]):
-                    self.above_strict[f] |= 1 << g
-
-
-@lru_cache(maxsize=None)
-def _OrderMasks(space: StateSpace) -> _Cones:
-    return _Cones(space)
+def _diagonal(space: StateSpace) -> int:
+    """Flat step of (1, ..., 1): g >> f iff g >= f + (1, ..., 1), so the
+    strict up-cone of f is the weak up-cone of f + d, when that state exists,
+    and the strict down-cone is the weak down-cone of f - d."""
+    return sum(space.strides)
 
 
 def is_antichain(subset: StateSubset) -> bool:
     """No two distinct members are comparable."""
-    masks = _OrderMasks(subset.space)
+    space = subset.space
+    up, down = space.up_cones, space.down_cones
     for f in subset.flats():
-        related = (masks.below_weak[f] | masks.above_weak[f]) & subset.mask
+        related = (down[f] | up[f]) & subset.mask
         if related != 1 << f:
             return False
     return True
@@ -58,8 +36,8 @@ def min_set(subset: StateSubset) -> StateSubset:
     """Minimal antichain: members with no other member weakly below them."""
     if subset.is_empty:
         raise ValueError("min_set of empty subset")
-    masks = _OrderMasks(subset.space)
-    flats = [f for f in subset.flats() if masks.below_weak[f] & subset.mask == 1 << f]
+    down = subset.space.down_cones
+    flats = [f for f in subset.flats() if down[f] & subset.mask == 1 << f]
     return StateSubset.from_flats(subset.space, flats)
 
 
@@ -67,8 +45,8 @@ def max_set(subset: StateSubset) -> StateSubset:
     """Maximal antichain: members with no other member weakly above them."""
     if subset.is_empty:
         raise ValueError("max_set of empty subset")
-    masks = _OrderMasks(subset.space)
-    flats = [f for f in subset.flats() if masks.above_weak[f] & subset.mask == 1 << f]
+    up = subset.space.up_cones
+    flats = [f for f in subset.flats() if up[f] & subset.mask == 1 << f]
     return StateSubset.from_flats(subset.space, flats)
 
 
@@ -91,26 +69,20 @@ def _biased_down_pivot(subset: StateSubset) -> Optional[State]:
     """Pivot strictly above the bottom whose strict down-cone lies inside the
     subset while its weak up-cone misses it entirely."""
     space = subset.space
-    masks = _OrderMasks(space)
-    bottom = space.flat(space.bottom)
+    up, down, d = space.up_cones, space.down_cones, _diagonal(space)
     gmask = subset.mask
-    for f in range(space.size):
-        if not masks.above_strict[bottom] >> f & 1:
-            continue
-        if masks.below_strict[f] & ~gmask == 0 and masks.above_weak[f] & gmask == 0:
+    for f in StateSubset(space, up[d]).flats():
+        if down[f - d] & ~gmask == 0 and up[f] & gmask == 0:
             return space.state_at(f)
     return None
 
 
 def _biased_up_pivot(subset: StateSubset) -> Optional[State]:
     space = subset.space
-    masks = _OrderMasks(space)
-    top = space.flat(space.top)
+    up, down, d = space.up_cones, space.down_cones, _diagonal(space)
     gmask = subset.mask
-    for f in range(space.size):
-        if not masks.below_strict[top] >> f & 1:
-            continue
-        if masks.above_strict[f] & ~gmask == 0 and masks.below_weak[f] & gmask == 0:
+    for f in StateSubset(space, down[space.size - 1 - d]).flats():
+        if up[f + d] & ~gmask == 0 and down[f] & gmask == 0:
             return space.state_at(f)
     return None
 
@@ -119,13 +91,10 @@ def compensatory_pivot(subset: StateSubset) -> Optional[State]:
     """Pivot strictly below the top with every member off its weak down-cone
     and off its strict up-cone (trapped in the off-diagonal quadrants)."""
     space = subset.space
-    masks = _OrderMasks(space)
-    top = space.flat(space.top)
+    up, down, d = space.up_cones, space.down_cones, _diagonal(space)
     gmask = subset.mask
-    for f in range(space.size):
-        if not masks.below_strict[top] >> f & 1:
-            continue
-        if gmask & (masks.below_weak[f] | masks.above_strict[f]) == 0:
+    for f in StateSubset(space, down[space.size - 1 - d]).flats():
+        if gmask & (down[f] | up[f + d]) == 0:
             return space.state_at(f)
     return None
 
@@ -134,13 +103,10 @@ def compensatory_pivot_dual(subset: StateSubset) -> Optional[State]:
     """Dual form: pivot strictly above the bottom with every member off its
     weak up-cone and off its strict down-cone."""
     space = subset.space
-    masks = _OrderMasks(space)
-    bottom = space.flat(space.bottom)
+    up, down, d = space.up_cones, space.down_cones, _diagonal(space)
     gmask = subset.mask
-    for f in range(space.size):
-        if not masks.above_strict[bottom] >> f & 1:
-            continue
-        if gmask & (masks.above_weak[f] | masks.below_strict[f]) == 0:
+    for f in StateSubset(space, up[d]).flats():
+        if gmask & (up[f] | down[f - d]) == 0:
             return space.state_at(f)
     return None
 

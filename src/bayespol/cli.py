@@ -383,7 +383,7 @@ def _cmd_simulate(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
 
 
 def _cmd_sweep(sc_unused, args) -> tuple[dict, Optional[Table]]:
-    dims = tuple(int(d) for d in args.dims.split("x"))
+    dims = args.dims
     config = SweepConfig(
         kind=_ORDER_BY_FLAG[args.order],
         mode=_MODE_BY_FLAG[args.mode],
@@ -397,7 +397,7 @@ def _cmd_sweep(sc_unused, args) -> tuple[dict, Optional[Table]]:
     row = [
         args.order,
         args.mode,
-        args.dims,
+        "x".join(map(str, dims)),
         str(report.trials_run),
         str(len(report.counterexamples)),
         f"{report.elapsed:.3f}",
@@ -435,7 +435,7 @@ def _cmd_sweep(sc_unused, args) -> tuple[dict, Optional[Table]]:
 
 def _cmd_tradeoff(sc_unused, args) -> tuple[dict, Optional[Table]]:
     if args.deltas:
-        deltas = [frac(d) for d in args.deltas.split(",")]
+        deltas = args.deltas
     else:
         n = args.grid
         deltas = [Fraction(k, n + 1) for k in range(1, n + 1)]
@@ -489,6 +489,26 @@ def _env(parser: argparse.ArgumentParser, name: str, cast, fallback, choices=Non
     return value
 
 
+def _dims_arg(raw: str) -> tuple[int, ...]:
+    """``--dims``: axis sizes joined by 'x'."""
+    try:
+        return tuple(int(d) for d in raw.split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected axis sizes joined by 'x', e.g. 3x3; got {raw!r}"
+        ) from None
+
+
+def _deltas_arg(raw: str) -> list[Fraction]:
+    """``--deltas``: comma-separated rationals."""
+    try:
+        return [frac(d) for d in raw.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated rationals, e.g. 1/10,1/4; got {raw!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bayespol",
@@ -530,10 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=int, default=100)
     sw = sub.add_parser("sweep")
     common(sw, scenario=False)
-    sw.add_argument("--dims", default="2x2", help="state space shape, e.g. 3x3 or 2x2x2")
+    sw.add_argument(
+        "--dims", type=_dims_arg, default="2x2", help="state space shape, e.g. 3x3 or 2x2x2"
+    )
     tr = sub.add_parser("tradeoff")
     common(tr, scenario=False)
-    tr.add_argument("--deltas", help="comma-separated rationals, e.g. 1/10,1/4")
+    tr.add_argument(
+        "--deltas", type=_deltas_arg, help="comma-separated rationals, e.g. 1/10,1/4"
+    )
     tr.add_argument("--grid", type=int, default=9, help="use deltas k/(grid+1)")
     return parser
 

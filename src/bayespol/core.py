@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -46,7 +47,8 @@ class StateSpace:
     Each axis is a strictly increasing tuple of rational values with at least
     two entries.  States are addressed by index vectors, enumerated row-major
     with the last axis fastest; ``flat`` converts an index vector to its
-    position in that enumeration.
+    position in that enumeration.  The coordinatewise order's cover edges and
+    cones are worked out once per instance, on first use.
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
@@ -98,6 +100,11 @@ class StateSpace:
         return self._size  # type: ignore[attr-defined]
 
     @property
+    def strides(self) -> tuple[int, ...]:
+        """Flat-index step of one unit along each axis."""
+        return self._strides  # type: ignore[attr-defined]
+
+    @property
     def states(self) -> tuple[State, ...]:
         """All states in row-major order (last axis fastest)."""
         return self._states  # type: ignore[attr-defined]
@@ -126,6 +133,41 @@ class StateSpace:
     def coords(self, state: State) -> tuple[Fraction, ...]:
         """Real-valued coordinate vector of a state."""
         return tuple(axis[i] for axis, i in zip(self.axes, state))
+
+    # -- the coordinatewise order ------------------------------------------
+
+    @cached_property
+    def cover_edges(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs ``(f, f + stride)`` of the coordinatewise order.
+
+        Listed axis by axis and, within an axis, from the top down, so that
+        ``x[f] += x[g]`` over them in this order turns ``x`` into its sums
+        over every up-cone (one axis at a time), and ``x[g] += x[f]`` over
+        them in reverse order into its sums over every down-cone.
+        """
+        states = self._states  # type: ignore[attr-defined]
+        return tuple(
+            (f, f + stride)
+            for axis, (n, stride) in enumerate(zip(self.shape, self.strides))
+            for f in reversed(range(self.size))
+            if states[f][axis] + 1 < n
+        )
+
+    @cached_property
+    def up_cones(self) -> tuple[int, ...]:
+        """Per state, the bitmask of the states at or above it."""
+        up = [1 << f for f in range(self.size)]
+        for f, g in self.cover_edges:
+            up[f] |= up[g]
+        return tuple(up)
+
+    @cached_property
+    def down_cones(self) -> tuple[int, ...]:
+        """Per state, the bitmask of the states at or below it."""
+        down = [1 << f for f in range(self.size)]
+        for f, g in reversed(self.cover_edges):
+            down[g] |= down[f]
+        return tuple(down)
 
     def __repr__(self) -> str:
         return f"StateSpace({'x'.join(str(n) for n in self.shape)})"

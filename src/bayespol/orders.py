@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from operator import itemgetter
 from typing import Optional, Sequence
 
-from .core import Belief, RationalLike, StateSpace, StateSubset, frac, leq
+from .core import Belief, RationalLike, StateSpace, StateSubset, frac
 
 DEFAULT_UPPER_SET_CAP = 10**6
 
@@ -102,111 +102,60 @@ def _upper_set_masks(space: StateSpace, cap: int) -> tuple[int, ...]:
     down, so a state may join only once everything strictly above it is in.
     The walk is output-sensitive (each upper set corresponds to the up-closure
     of its minimal antichain) and raises once more than ``cap`` sets exist.
+    It is a depth-first search on an explicit stack, leaving a state out
+    before putting it in; states that cannot join are passed over without
+    branching.
     """
     size = space.size
     states = space.states
     order = sorted(range(size), key=lambda f: -sum(states[f]))
-    strictly_above = []
-    for f in range(size):
-        m = 0
-        for g in range(size):
-            if g != f and leq(states[f], states[g]):
-                m |= 1 << g
-        strictly_above.append(m)
+    up = space.up_cones
+    strictly_above = [up[f] ^ 1 << f for f in order]
 
     out: list[int] = []
-
-    def walk(pos: int, mask: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        pos, mask = stack.pop()
+        while pos < size and strictly_above[pos] & ~mask:
+            pos += 1
         if pos == size:
             if len(out) >= cap:
                 raise CapExceededError(
                     f"more than {cap} upper sets on {space!r}; raise the cap"
                 )
             out.append(mask)
-            return
-        f = order[pos]
-        walk(pos + 1, mask)
-        if strictly_above[f] & mask == strictly_above[f]:
-            walk(pos + 1, mask | (1 << f))
-
-    walk(0, 0)
+            continue
+        stack.append((pos + 1, mask | 1 << order[pos]))
+        stack.append((pos + 1, mask))
     return tuple(out)
 
 
-def _orthant_masks(space: StateSpace) -> tuple[int, ...]:
-    """Distinct upper orthants {state >= corner}, including empty and full."""
-    masks = set()
-    for corner in _cartesian(*(range(n + 1) for n in space.shape)):
-        m = 0
-        for f, state in enumerate(space.states):
-            if all(i >= c for i, c in zip(state, corner)):
-                m |= 1 << f
-        masks.add(m)
-    return tuple(sorted(masks))
-
-
-def _projection_masks(space: StateSpace) -> tuple[int, ...]:
-    """Per-axis upper intervals {state_i >= cut}; nonempty proper only."""
-    masks = []
-    for axis in range(space.ndim):
-        for cut in range(1, space.shape[axis]):
-            m = 0
-            for f, state in enumerate(space.states):
-                if state[axis] >= cut:
-                    m |= 1 << f
-            masks.append(m)
-    return tuple(masks)
+def _projection_corners(space: StateSpace) -> list[int]:
+    """Corner states of the projection events {state_axis >= cut}, axis-major
+    and by cut: each event is its corner's up-cone."""
+    return [
+        cut * stride
+        for n, stride in zip(space.shape, space.strides)
+        for cut in range(1, n)
+    ]
 
 
 @lru_cache(maxsize=None)
 def _family_masks(
     space: StateSpace, kind: UpperFamilyKind, cap: int
 ) -> tuple[int, ...]:
-    """Proper nonempty events of the family, as bitmasks."""
-    if kind is UpperFamilyKind.UPPER_SET:
-        masks = _upper_set_masks(space, cap)
-    elif kind is UpperFamilyKind.UPPER_ORTHANT:
-        masks = _orthant_masks(space)
-    else:
-        masks = _projection_masks(space)
-    full = space.full_mask
-    return tuple(m for m in masks if 0 < m < full)
+    """Proper nonempty events of the family, as bitmasks.
 
-
-@lru_cache(maxsize=None)
-def _family_flats(
-    space: StateSpace, kind: UpperFamilyKind
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Each event of a scanned family as its flat indices and its mask."""
-    return tuple(
-        (StateSubset(space, m).flats(), m)
-        for m in _family_masks(space, kind, DEFAULT_UPPER_SET_CAP)
-    )
-
-
-@lru_cache(maxsize=None)
-def _upper_set_tables(
-    space: StateSpace,
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, ...], int], ...]]:
-    """Per-space tables for deciding upper-set dominance.
-
-    ``up[f]`` is the mask of states at or above state ``f``, built by one
-    walk over the grid's cover edges f -> f + stride[axis] from the top down.
-    The projection events come as in ``_family_flats``.
+    The upper orthants are the up-cones of every state but the bottom, listed
+    by mask; the projections are listed axis-major.
     """
-    shape, states = space.shape, space.states
-    strides = [
-        space.flat(tuple(int(j == axis) for j in range(space.ndim)))
-        for axis in range(space.ndim)
-    ]
-    up = [0] * space.size
-    for f in reversed(range(space.size)):
-        mask = 1 << f
-        for axis, stride in enumerate(strides):
-            if states[f][axis] + 1 < shape[axis]:
-                mask |= up[f + stride]
-        up[f] = mask
-    return tuple(up), _family_flats(space, UpperFamilyKind.UPPER_PROJECTION)
+    up = space.up_cones
+    if kind is UpperFamilyKind.UPPER_ORTHANT:
+        return tuple(sorted(up[1:]))
+    if kind is UpperFamilyKind.UPPER_PROJECTION:
+        return tuple(up[f] for f in _projection_corners(space))
+    full = space.full_mask
+    return tuple(m for m in _upper_set_masks(space, cap) if 0 < m < full)
 
 
 def event_family(
@@ -356,31 +305,53 @@ def _max_closure(up: Sequence[int], w: Sequence[int]) -> tuple[int, int]:
             unmet ^= 1 << end
 
 
-def _upper_set_gaps(
-    space: StateSpace, low: Belief, high: Belief, one_event: bool
+def _orthant_gaps(
+    space: StateSpace, kind: UpperFamilyKind, w: Sequence[int]
 ) -> tuple[Optional[int], Optional[int], bool]:
-    """Upper-set witnesses of low(U) > high(U) and of high(U) > low(U).
+    """Witnesses and all-events flag as in ``_upper_set_gaps``, for upper
+    orthants or projections.
 
-    Projection events are upper sets, so they are scanned first and settle
+    Each event is the up-cone of its corner state.  Suffix sums of w along
+    the cover edges, one axis at a time, give w(E) for every orthant E at
+    its corner, so one table holds every gap.  The witness is the first
+    event with the gap in ``event_family``'s order: for orthants, which are
+    listed by mask, the smallest mask.
+    """
+    sums = list(w)
+    for f, g in space.cover_edges:
+        sums[f] += sums[g]
+    up = space.up_cones
+    if kind is UpperFamilyKind.UPPER_ORTHANT:
+        corners: Sequence[int] = range(1, space.size)
+        first = min
+    else:
+        corners = _projection_corners(space)
+        first = itemgetter(0)
+    low_gt = [up[f] for f in corners if sums[f] > 0]
+    high_gt = [up[f] for f in corners if sums[f] < 0]
+    return (
+        first(low_gt) if low_gt else None,
+        first(high_gt) if high_gt else None,
+        len(low_gt) + len(high_gt) == len(corners),
+    )
+
+
+def _upper_set_gaps(
+    space: StateSpace, w: Sequence[int], one_event: bool
+) -> tuple[Optional[int], Optional[int], bool]:
+    """Upper-set witnesses of w(U) > 0 and of w(U) < 0 for the gaps w = low -
+    high over a common denominator.
+
+    Projection events are upper sets, so they are checked first and settle
     most incomparable pairs; each direction they leave open costs one
-    ``_max_closure`` on the integer gaps w = low - high over a common
-    denominator.  The flag says whether the one direction with a gap has it
-    on every proper nonempty upper set; it is computed only for the
+    ``_max_closure``.  The flag says whether the one direction with a gap has
+    it on every proper nonempty upper set; it is computed only for the
     all-events convention.
     """
-    up, projections = _upper_set_tables(space)
-    lden, hden = low.den, high.den
-    w = [a * hden - b * lden for a, b in zip(low.nums, high.nums)]
-    low_gt = high_gt = None
-    for flats, mask in projections:
-        gap = sum(map(w.__getitem__, flats))
-        if gap > 0:
-            if low_gt is None:
-                low_gt = mask
-        elif gap < 0 and high_gt is None:
-            high_gt = mask
-        if low_gt is not None and high_gt is not None:
-            return low_gt, high_gt, False
+    up = space.up_cones
+    low_gt, high_gt, _ = _orthant_gaps(space, UpperFamilyKind.UPPER_PROJECTION, w)
+    if low_gt is not None and high_gt is not None:
+        return low_gt, high_gt, False
     if low_gt is None:
         value, cut = _max_closure(up, w)
         if value > 0:
@@ -400,35 +371,6 @@ def _upper_set_gaps(
     return low_gt, high_gt, gaps[-1] + _max_closure(up, inner)[0] < 0
 
 
-def _scan_gaps(
-    space: StateSpace, kind: UpperFamilyKind, low: Belief, high: Belief, one_event: bool
-) -> tuple[Optional[int], Optional[int], bool]:
-    """Witnesses and all-events flag as in ``_upper_set_gaps``, found by
-    summing each event of a family small enough to list."""
-    events = _family_flats(space, kind)
-    lnums, hnums = low.nums, high.nums
-    lden, hden = low.den, high.den
-    low_gt = high_gt = None
-    n_low_gt = n_high_gt = 0
-    for flats, mask in events:
-        a = sum(lnums[f] for f in flats) * hden
-        b = sum(hnums[f] for f in flats) * lden
-        if a > b:
-            n_low_gt += 1
-            if low_gt is None:
-                low_gt = mask
-            if one_event and high_gt is not None:
-                break
-        elif a < b:
-            n_high_gt += 1
-            if high_gt is None:
-                high_gt = mask
-            if one_event and low_gt is not None:
-                break
-    n_gt = n_high_gt if high_gt is not None else n_low_gt
-    return low_gt, high_gt, n_gt == len(events)
-
-
 def compare(
     low: Belief,
     high: Belief,
@@ -439,14 +381,17 @@ def compare(
 
     Trivial events never distinguish distributions, so only proper nonempty
     events are consulted.  Upper sets are decided by minimum cuts, without
-    enumerating them; the other two families are scanned event by event.
+    enumerating them; the other two families are read from one table of
+    orthant sums.
     """
     space = _check_shared_space(low, high)
     one_event = strictness is Strictness.ONE_EVENT
+    lden, hden = low.den, high.den
+    w = [a * hden - b * lden for a, b in zip(low.nums, high.nums)]
     if kind is UpperFamilyKind.UPPER_SET:
-        low_gt, high_gt, everywhere = _upper_set_gaps(space, low, high, one_event)
+        low_gt, high_gt, everywhere = _upper_set_gaps(space, w, one_event)
     else:
-        low_gt, high_gt, everywhere = _scan_gaps(space, kind, low, high, one_event)
+        low_gt, high_gt, everywhere = _orthant_gaps(space, kind, w)
     if low_gt is not None and high_gt is not None:
         return DominanceVerdict(
             Relation.INCOMPARABLE,
@@ -492,14 +437,7 @@ def is_increasing(space: StateSpace, values: Sequence[Fraction]) -> bool:
     """Monotone with respect to the coordinatewise order on states."""
     if len(values) != space.size:
         raise ValueError("value vector length mismatch")
-    strides = [space.flat(tuple(1 if j == i else 0 for j in range(space.ndim)))
-               for i in range(space.ndim)]
-    for f, state in enumerate(space.states):
-        for axis in range(space.ndim):
-            if state[axis] + 1 < space.shape[axis]:
-                if values[f + strides[axis]] < values[f]:
-                    return False
-    return True
+    return all(values[f] <= values[g] for f, g in space.cover_edges)
 
 
 def additive_parts(

@@ -19,7 +19,7 @@ from itertools import combinations, product as _cartesian
 from typing import Iterator, Optional
 
 from .bayes import LikelihoodFn
-from .core import Belief, State, StateSpace, StateSubset
+from .core import Belief, State, StateSpace, StateSubset, frac
 from .orders import UpperFamilyKind, compare_strong_cw
 from .polarization import (
     Mode,
@@ -66,6 +66,18 @@ class SweepConfig:
             )
         if self.identified_set is not None and self.mode is not Mode.LIMIT:
             raise ValueError("identified_set pins limit evidence; mode must be limit")
+        if self.mass_bound < 1:
+            raise ValueError(f"mass_bound must be at least 1, got {self.mass_bound}")
+        try:
+            levels = tuple(frac(v) for v in self.likelihood_levels)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"likelihood_levels: {exc}") from None
+        if not levels or not all(0 <= v <= 1 for v in levels):
+            raise ValueError(f"likelihood_levels must be nonempty in [0, 1]: {levels}")
+        exhaustive = self.denominator_bound is not None
+        if exhaustive and self.mode is Mode.ONE_SHOT and not any(levels):
+            raise ValueError("likelihood_levels has no positive level: no likelihood to run")
+        object.__setattr__(self, "likelihood_levels", levels)
 
     @property
     def space(self) -> StateSpace:

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -175,3 +177,25 @@ def test_classified_sets_satisfy_the_three_dominance_relations(shape):
         assert antichain_dominates(space, min_set(subset), max_set(subset)).holds
         assert antichain_dominates(space, min_set(subset), max_set(complement)).holds
         assert antichain_dominates(space, min_set(complement), max_set(subset)).holds
+
+
+@pytest.mark.parametrize(
+    "shape,digest",
+    [
+        ((2, 3), "c68de2fb25ca45fb"),
+        ((3, 3), "dddfad9d5f31df52"),
+        ((2, 4), "8a81d23132ae91fa"),
+        ((2, 2, 2), "4edbc9fd8a9ecd3d"),
+    ],
+)
+def test_classify_reports_are_pinned(shape, digest):
+    # Every report field, the three pivots included, for every proper subset.
+    space = StateSpace.grid(*shape)
+    h = hashlib.sha256()
+    for mask in range(1, space.full_mask):
+        report = classify(space, StateSubset(space, mask), allow_high_dim=space.ndim != 2)
+        row = [report.identified_set.mask] + [
+            getattr(report, f.name) for f in fields(report) if f.name != "identified_set"
+        ]
+        h.update(repr(row).encode())
+    assert h.hexdigest()[:16] == digest

@@ -190,6 +190,22 @@ def test_malformed_env_default_is_a_usage_error(monkeypatch, capsys, var, value)
     assert var in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["tradeoff", "--deltas", "1/0"], "--deltas"),
+        (["tradeoff", "--deltas", "abc"], "--deltas"),
+        (["sweep", "--dims", "3x"], "--dims"),
+        (["sweep", "--dims", "3xa"], "--dims"),
+    ],
+)
+def test_malformed_flag_value_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--trials", "1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_domain_error_exits_one(tmp_path, capsys):
     doc = dict(MIRROR_DOC)
     doc["identified_set"] = [[0, 1], [1, 0]]  # fails the classifier gate

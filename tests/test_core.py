@@ -33,6 +33,25 @@ def test_coords_and_partial_order():
     assert ll((0, 0), (1, 1)) and not leq((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize("shape", [(2,), (5,), (2, 3), (3, 3), (2, 2, 2), (3, 2, 4)])
+def test_order_tables_match_the_coordinatewise_order(shape):
+    space = StateSpace.grid(*shape)
+    states = space.states
+    for f, a in enumerate(states):
+        assert space.up_cones[f] == sum(1 << g for g, b in enumerate(states) if leq(a, b))
+        assert space.down_cones[f] == sum(1 << g for g, b in enumerate(states) if leq(b, a))
+    covers = {
+        (f, g)
+        for f, a in enumerate(states)
+        for g, b in enumerate(states)
+        if leq(a, b) and sum(b) == sum(a) + 1
+    }
+    assert sorted(space.cover_edges) == sorted(covers)
+    # the tables are cached on the instance without entering equality
+    assert space == StateSpace.grid(*shape)
+    assert hash(space) == hash(StateSpace.grid(*shape))
+
+
 def test_belief_invariants_enforced():
     with pytest.raises(ValueError):
         Belief(GRID_2X2, (1, 1, 1, 0), 4)  # sums to 3/4

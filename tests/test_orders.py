@@ -1,6 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from bayespol import (
     Belief,
     CapExceededError,
+    DominanceVerdict,
     Relation,
     StateSpace,
     StateSubset,
@@ -22,7 +24,6 @@ from bayespol import (
 )
 from bayespol.orders import (
     _max_closure,
-    _upper_set_tables,
     additive_parts,
     is_increasing,
     product_parts,
@@ -108,6 +109,23 @@ def test_family_inclusions():
 def test_upper_set_cap():
     with pytest.raises(CapExceededError):
         event_family(GRID_3X3, ST, cap=5)
+
+
+def test_upper_set_enumeration_order_is_pinned():
+    for space, digest in ((GRID_3X3, "abd3bd7582d25a16"), (GRID_2X2X2, "6e5c8beabd9afb29")):
+        masks = ",".join(str(e.mask) for e in event_family(space, ST))
+        assert hashlib.sha256(masks.encode()).hexdigest()[:16] == digest
+
+
+def test_upper_sets_of_a_long_chain():
+    # One state per level: the enumeration must not recurse once per state.
+    chain = StateSpace.grid(1100)
+    family = event_family(chain, ST)
+    assert [e.mask for e in family] == [
+        chain.full_mask ^ ((1 << k) - 1) for k in range(1099, 0, -1)
+    ]
+    with pytest.raises(CapExceededError):
+        event_family(chain, ST, cap=1000)
 
 
 # -- compare -----------------------------------------------------------------
@@ -284,12 +302,66 @@ def test_upper_set_compare_matches_enumeration_on_3x3x3():
                 _assert_matches_brute_force(b, a, strictness)
 
 
+# -- upper orthants and projections, against a first-event scan -------------
+
+
+def _first_event_verdict(low, high, kind, strictness):
+    """The verdict from the definitions: a scan of ``event_family(space,
+    kind)`` in listed order, whose first event with each sign of gap is the
+    witness."""
+    events = event_family(low.space, kind)
+    gaps = [high.prob(e) - low.prob(e) for e in events]
+    low_gt = next((e for e, g in zip(events, gaps) if g < 0), None)
+    high_gt = next((e for e, g in zip(events, gaps) if g > 0), None)
+    if low_gt is not None and high_gt is not None:
+        return DominanceVerdict(Relation.INCOMPARABLE, low_gt, high_gt)
+    if low_gt is None and high_gt is None:
+        return DominanceVerdict(Relation.EQUAL)
+    strict = strictness is Strictness.ONE_EVENT or all(gaps)
+    if high_gt is not None:
+        relation = Relation.STRICTLY_BELOW if strict else Relation.WEAKLY_BELOW
+        return DominanceVerdict(relation, high_gt)
+    relation = Relation.STRICTLY_ABOVE if strict else Relation.WEAKLY_ABOVE
+    return DominanceVerdict(relation, low_gt)
+
+
+@settings(max_examples=400)
+@given(_st_pairs(), st.sampled_from([UO, CW]), st.sampled_from(list(Strictness)))
+def test_orthant_and_projection_compare_match_first_event_scan(pair, kind, strictness):
+    low, high = pair
+    assert compare(low, high, kind, strictness) == _first_event_verdict(
+        low, high, kind, strictness
+    )
+
+
+def test_orthant_and_projection_compare_match_first_event_scan_on_3x3x3():
+    space = StateSpace.grid(3, 3, 3)
+    rng = random.Random(33)
+    for _ in range(8):
+        low = [rng.randint(1, 9) for _ in range(space.size)]
+        moves = [
+            (rng.randrange(space.size), rng.randrange(space.size), rng.randint(1, 9))
+            for _ in range(20)
+        ]
+        pairs = [(low, _moved_up(space, low, moves)),
+                 (low, [rng.randint(0, 9) or 1 for _ in range(space.size)])]
+        for lo, hi in pairs:
+            a, b = Belief.from_weights(space, lo), Belief.from_weights(space, hi)
+            for kind, strictness in product((UO, CW), Strictness):
+                assert compare(a, b, kind, strictness) == _first_event_verdict(
+                    a, b, kind, strictness
+                )
+                assert compare(b, a, kind, strictness) == _first_event_verdict(
+                    b, a, kind, strictness
+                )
+
+
 @pytest.mark.parametrize("shape,trials", [((3, 3), 1500), ((2, 2, 2), 1500), ((3, 3, 3), 400)])
 def test_max_closure_matches_enumeration(shape, trials):
     # Free integer weights defeat the greedy start far more often than
     # belief gaps do, so the augmenting paths and their bottlenecks run.
     space = StateSpace.grid(*shape)
-    up, _ = _upper_set_tables(space)
+    up = space.up_cones
     uppers = [0, space.full_mask] + [e.mask for e in event_family(space, ST)]
     flats = {m: StateSubset(space, m).flats() for m in uppers}
     rng = random.Random(sum(shape))
@@ -354,6 +426,15 @@ def test_membership_validators():
     assert additive_parts(GRID_2X2, corner) is None
     decreasing = (F(1), F(0), F(0), F(0))
     assert not is_increasing(GRID_2X2, decreasing)
+
+
+@pytest.mark.parametrize("space", [GRID_2X2, GRID_2X3])
+def test_is_increasing_matches_all_pairs_definition(space):
+    pairs = [(f, g) for f in range(space.size) for g in range(space.size)
+             if leq(space.state_at(f), space.state_at(g))]
+    for values in product((F(0), F(1), F(2)), repeat=space.size):
+        expected = all(values[f] <= values[g] for f, g in pairs)
+        assert is_increasing(space, values) == expected
 
 
 def test_constant_function_never_violates():

@@ -119,6 +119,19 @@ def test_config_validation():
     # one-shot trials draw likelihoods, never an evidence set
     with pytest.raises(ValueError, match="identified_set"):
         SweepConfig(CW, Mode.ONE_SHOT, (2, 2), identified_set=((1, 1),))
+    # the sampling fields, which used to fail only at the first trial
+    for bound in (0, -3):
+        with pytest.raises(ValueError, match="mass_bound"):
+            SweepConfig(CW, Mode.LIMIT, (2, 2), mass_bound=bound)
+    for levels in ((), (F(0), F(3, 2)), (F(-1, 2),), (0.5,)):
+        with pytest.raises(ValueError, match="likelihood_levels"):
+            SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=levels)
+    # exhaustive one-shot evidence skips the all-zero likelihood: no trial
+    with pytest.raises(ValueError, match="likelihood_levels"):
+        SweepConfig(CW, Mode.ONE_SHOT, (2, 2), denominator_bound=4, likelihood_levels=(0,))
+    assert SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=(0, "1/3", 1))
+    with pytest.raises(ValueError, match="mass_bound"):
+        family_polarization_search(PRODUCTS, Mode.LIMIT, GRID_2X2, trials=5, mass_bound=0)
 
 
 def test_compositions_are_every_positive_vector_in_lexicographic_order():
