@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -20,7 +21,7 @@ from .core import (
     State,
     StateSpace,
     StateSubset,
-    frac,
+    over_common_denominator,
 )
 
 
@@ -43,16 +44,14 @@ class LikelihoodFn:
             raise ValueError("likelihood must be positive somewhere")
         g = math.gcd(self.den, *self.nums)
         if g > 1:
-            object.__setattr__(self, "nums", tuple(n // g for n in self.nums))
+            object.__setattr__(self, "nums", tuple([n // g for n in self.nums]))
             object.__setattr__(self, "den", self.den // g)
 
     @staticmethod
     def from_fractions(
         space: StateSpace, values: Iterable[RationalLike]
     ) -> "LikelihoodFn":
-        fracs = [frac(v) for v in values]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        return LikelihoodFn(space, tuple(int(f * den) for f in fracs), den)
+        return LikelihoodFn(space, *over_common_denominator(values))
 
     @staticmethod
     def indicator(space: StateSpace, subset: StateSubset) -> "LikelihoodFn":
@@ -160,7 +159,7 @@ def update(prior: Belief, ell: LikelihoodFn) -> Belief:
     """One Bayes step: posterior proportional to prior times likelihood."""
     if prior.space != ell.space:
         raise ValueError("prior and likelihood live on different spaces")
-    nums = tuple(p * l for p, l in zip(prior.nums, ell.nums))
+    nums = tuple([p * l for p, l in zip(prior.nums, ell.nums)])
     total = sum(nums)
     if total == 0:
         raise ValueError("zero evidence probability: signal rules out the prior")
@@ -245,13 +244,8 @@ def simulate(
     rng = random.Random(seed)
     limit = limit_posterior(prior, identified_set(sig, truth))
 
-    row = sig.row(truth)
-    den = math.lcm(*(p.denominator for p in row))
-    thresholds = []
-    acc = 0
-    for p in row:
-        acc += int(p * den)
-        thresholds.append(acc)
+    row_nums, den = over_common_denominator(sig.row(truth))
+    thresholds = list(accumulate(row_nums))
 
     def draw() -> int:
         u = rng.randrange(den)

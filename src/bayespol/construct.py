@@ -6,6 +6,7 @@ recursing on the grid (peel the high antichain's extreme element, shrink the
 grid, mix a small Dirac back in).  ``build_polarizing_priors`` assembles full
 polarizing priors for any identified set passing the classifier, then
 verifies the result with exact comparators rather than trusting the algebra.
+Masses are integer weights over one denominator throughout, as in ``Belief``.
 ``mirror_extremes_instance`` and ``one_shot_orthant_instance`` produce the
 two closed-form instance families: mirror-image priors identified on the two
 extreme states (limit, coordinatewise), and concentrated priors with a
@@ -25,7 +26,8 @@ from .polarization import PolarizationReport, limit, one_shot
 
 _MIN_DELTA = Fraction(1, 2**64)
 
-Massmap = dict[State, Fraction]
+# Masses on named states as integer weights over one positive denominator.
+Massmap = tuple[dict[State, int], int]
 _Box = tuple[State, State]  # inclusive (low corner, high corner) index bounds
 
 
@@ -46,18 +48,28 @@ class ConstructionResult:
 
 def _box_cdf_gap(low: Massmap, high: Massmap, box: _Box) -> Fraction:
     """Minimum of (F_low - F_high) over interior cuts of the box, both axes."""
+    (low_w, low_den), (high_w, high_den) = low, high
     (lo0, lo1), (hi0, hi1) = box[0], box[1]
-    best: Optional[Fraction] = None
+    best: Optional[int] = None
     for axis, lo, hi in ((0, lo0, hi0), (1, lo1, hi1)):
         for cut in range(lo, hi):
-            fl = sum(m for s, m in low.items() if s[axis] <= cut)
-            fh = sum(m for s, m in high.items() if s[axis] <= cut)
-            gap = fl - fh
+            fl = sum(w for s, w in low_w.items() if s[axis] <= cut)
+            fh = sum(w for s, w in high_w.items() if s[axis] <= cut)
+            gap = fl * high_den - fh * low_den
             if best is None or gap < best:
                 best = gap
     if best is None:
         raise AssertionError("degenerate box with no interior cuts")
-    return best
+    return Fraction(best, low_den * high_den)
+
+
+def _mix_in_dirac(masses: Massmap, state: State, eps: Fraction) -> Massmap:
+    """``(1 - eps)`` times ``masses`` plus ``eps`` at a state outside them."""
+    weights, den = masses
+    p, q = eps.numerator, eps.denominator
+    mixed = {s: (q - p) * w for s, w in weights.items()}
+    mixed[state] = p * den
+    return mixed, q * den
 
 
 def _antichain_pair(low: list[State], high: list[State], box: _Box) -> tuple[Massmap, Massmap]:
@@ -72,17 +84,11 @@ def _antichain_pair(low: list[State], high: list[State], box: _Box) -> tuple[Mas
     if len(high) == 1:
         if high[0] != box[1]:
             raise AssertionError("singleton high antichain must sit at the box top")
-        return (
-            {s: Fraction(1, len(low)) for s in low},
-            {high[0]: Fraction(1)},
-        )
+        return ({s: 1 for s in low}, len(low)), ({high[0]: 1}, 1)
     if len(low) == 1:
         if low[0] != box[0]:
             raise AssertionError("singleton low antichain must sit at the box bottom")
-        return (
-            {low[0]: Fraction(1)},
-            {s: Fraction(1, len(high)) for s in high},
-        )
+        return ({low[0]: 1}, 1), ({s: 1 for s in high}, len(high))
 
     d1, d2 = low[0], low[1]
     t1, t2 = high[0], high[1]
@@ -99,25 +105,22 @@ def _antichain_pair(low: list[State], high: list[State], box: _Box) -> tuple[Mas
         sub_box = (box[0], (box[1][0], t2[1]))
         low_masses, rest = _antichain_pair(low, high[1:], sub_box)
         eps = _box_cdf_gap(low_masses, rest, sub_box) / 2
-        high_masses = {s: (1 - eps) * m for s, m in rest.items()}
-        high_masses[t1] = eps
-        return low_masses, high_masses
+        return low_masses, _mix_in_dirac(rest, t1, eps)
 
     # Symmetric branch: drop the low element with the bottom first coordinate,
     # raise the box floor to the runner-up, recurse, mix the Dirac into low.
     sub_box = ((d2[0], box[0][1]), box[1])
     rest, high_masses = _antichain_pair(low[1:], high, sub_box)
     eps = _box_cdf_gap(rest, high_masses, sub_box) / 2
-    low_masses = {s: (1 - eps) * m for s, m in rest.items()}
-    low_masses[d1] = eps
-    return low_masses, high_masses
+    return _mix_in_dirac(rest, d1, eps), high_masses
 
 
 def _as_belief(space: StateSpace, masses: Massmap) -> Belief:
-    values = [Fraction(0)] * space.size
-    for state, m in masses.items():
-        values[space.flat(state)] = m
-    return Belief.from_fractions(space, values)
+    weights, den = masses
+    nums = [0] * space.size
+    for state, w in weights.items():
+        nums[space.flat(state)] = w
+    return Belief(space, tuple(nums), den)
 
 
 def antichain_distributions(
@@ -157,8 +160,9 @@ def _joint_strong_solve(
 
     Every constraint is a strict inequality between two cumulative masses, so
     the system is a set of difference constraints over prefix variables.  A
-    longest-path labeling of the (acyclic) constraint graph yields exact
-    rational prefix values; mass vectors are their differences.
+    longest-path labeling of the (acyclic) constraint graph yields integer
+    prefix values over the longest path's length; masses are their
+    differences.
     """
     ZERO, ONE = ("", 0), ("", 1)
 
@@ -238,15 +242,14 @@ def _joint_strong_solve(
     top = longest[ONE]
     out: dict[str, Massmap] = {}
     for name, states in chains.items():
-        prefix = [Fraction(longest[node(name, r)], top) for r in range(len(states) + 1)]
-        prefix[-1] = Fraction(1)
-        masses = {}
+        prefix = [longest[node(name, r)] for r in range(len(states) + 1)]
+        weights = {}
         for r, state in enumerate(states):
-            m = prefix[r + 1] - prefix[r]
-            if m <= 0:
+            w = prefix[r + 1] - prefix[r]
+            if w <= 0:
                 raise AssertionError("joint solve produced a nonpositive mass")
-            masses[state] = m
-        out[name] = masses
+            weights[state] = w
+        out[name] = (weights, top)
     return out
 
 
@@ -315,11 +318,33 @@ def _conditional_pieces(
     )
 
 
-def _layered(space: StateSpace, core_belief: Belief, rest: StateSubset, delta: Fraction) -> Belief:
-    """(1-delta) on the antichain distribution, delta uniform on the residual."""
-    if rest.is_empty:
-        return core_belief
-    return mixture([1 - delta, delta], [core_belief, Belief.uniform_on(space, rest)])
+def _layers(
+    space: StateSpace,
+    core: Belief,
+    core_rest: StateSubset,
+    comp: Belief,
+    comp_rest: StateSubset,
+) -> list[tuple[int, int, Belief]]:
+    """A layered prior's parts as (power of 1 - delta, power of delta, part).
+
+    The antichain distribution on the identified set weighs 1 - delta and
+    the one on its complement delta; on each side a nonempty residual takes
+    a delta share of that weight, spread uniformly.
+    """
+    parts = []
+    for side, piece, rest in ((0, core, core_rest), (1, comp, comp_rest)):
+        if rest.is_empty:
+            parts.append((1 - side, side, piece))
+        else:
+            parts.append((2 - side, side, piece))
+            parts.append((1 - side, side + 1, Belief.uniform_on(space, rest)))
+    return parts
+
+
+def _layered_prior(parts: list[tuple[int, int, Belief]], delta: Fraction) -> Belief:
+    return mixture(
+        [(1 - delta) ** a * delta**b for a, b, _ in parts], [p for _, _, p in parts]
+    )
 
 
 def build_polarizing_priors(
@@ -342,10 +367,20 @@ def build_polarizing_priors(
     low_core, high_core, low_comp, high_comp, epsilon = _conditional_pieces(
         space, identified
     )
-    gamma_rest_low = identified.difference(min_set(identified))
-    gamma_rest_high = identified.difference(max_set(identified))
-    comp_rest_low = complement.difference(max_set(complement))
-    comp_rest_high = complement.difference(min_set(complement))
+    low_parts = _layers(
+        space,
+        low_core,
+        identified.difference(min_set(identified)),
+        low_comp,
+        complement.difference(max_set(complement)),
+    )
+    high_parts = _layers(
+        space,
+        high_core,
+        identified.difference(max_set(identified)),
+        high_comp,
+        complement.difference(min_set(complement)),
+    )
 
     delta = Fraction(1, 2)
     while delta >= _MIN_DELTA:
@@ -353,20 +388,8 @@ def build_polarizing_priors(
             (1 - delta) ** 2 * epsilon > (1 - delta) * 2 * delta + delta**2
         )
         if inequalities_hold:
-            prior_low = mixture(
-                [1 - delta, delta],
-                [
-                    _layered(space, low_core, gamma_rest_low, delta),
-                    _layered(space, low_comp, comp_rest_low, delta),
-                ],
-            )
-            prior_high = mixture(
-                [1 - delta, delta],
-                [
-                    _layered(space, high_core, gamma_rest_high, delta),
-                    _layered(space, high_comp, comp_rest_high, delta),
-                ],
-            )
+            prior_low = _layered_prior(low_parts, delta)
+            prior_high = _layered_prior(high_parts, delta)
             certificate = limit(
                 UpperFamilyKind.UPPER_PROJECTION,
                 prior_low,
@@ -418,15 +441,16 @@ def mirror_extremes_instance(space: StateSpace, epsilon: Fraction) -> Constructi
         raise ValueError("space must have more than two states")
     bottom_flat = space.flat(space.bottom)
     top_flat = space.flat(space.top)
-    base = [Fraction(1, size)] * size
-    low = list(base)
-    high = list(base)
-    low[bottom_flat] += epsilon / size
-    low[top_flat] -= epsilon / size
-    high[bottom_flat] -= epsilon / size
-    high[top_flat] += epsilon / size
-    prior_low = Belief.from_fractions(space, low)
-    prior_high = Belief.from_fractions(space, high)
+    # (1 +- epsilon) / size at the extremes, 1 / size elsewhere, over size * q
+    p, q = epsilon.numerator, epsilon.denominator
+    low = [q] * size
+    high = [q] * size
+    low[bottom_flat] += p
+    low[top_flat] -= p
+    high[bottom_flat] -= p
+    high[top_flat] += p
+    prior_low = Belief(space, tuple(low), size * q)
+    prior_high = Belief(space, tuple(high), size * q)
     extremes = StateSubset.from_states(space, [space.bottom, space.top])
     certificate = limit(UpperFamilyKind.UPPER_PROJECTION, prior_low, prior_high, extremes)
     return ConstructionResult(
@@ -467,19 +491,19 @@ def one_shot_orthant_instance(
         raise ValueError("space must have more than two states")
     bottom_flat = space.flat(space.bottom)
     top_flat = space.flat(space.top)
-    bulk = 1 - Fraction(1, n) - Fraction(1, n * n)
-    sliver = Fraction(1, n * n)
-    middle = Fraction(1, n * (size - 2))
+    # bulk 1 - 1/n - 1/n^2, sliver 1/n^2, middle 1/(n (size - 2)), over den
+    den = n * n * (size - 2)
+    bulk, sliver, middle = den - n * (size - 2) - (size - 2), size - 2, n
     low = [middle] * size
     high = [middle] * size
     low[bottom_flat], low[top_flat] = bulk, sliver
     high[bottom_flat], high[top_flat] = sliver, bulk
-    prior_low = Belief.from_fractions(space, low)
-    prior_high = Belief.from_fractions(space, high)
-    ell_values = [Fraction(0)] * size
-    ell_values[bottom_flat] = Fraction(1)
-    ell_values[top_flat] = 1 - epsilon
-    ell = LikelihoodFn.from_fractions(space, ell_values)
+    prior_low = Belief(space, tuple(low), den)
+    prior_high = Belief(space, tuple(high), den)
+    ell_nums = [0] * size
+    ell_nums[bottom_flat] = epsilon.denominator
+    ell_nums[top_flat] = epsilon.denominator - epsilon.numerator
+    ell = LikelihoodFn(space, tuple(ell_nums), epsilon.denominator)
     report = one_shot(UpperFamilyKind.UPPER_ORTHANT, prior_low, prior_high, ell)
     return OneShotOrthantInstance(prior_low, prior_high, ell, report, epsilon, n)
 

@@ -30,6 +30,13 @@ def frac(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def over_common_denominator(values: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
+    """Exact rationals as integer numerators over their least common denominator."""
+    fractions = [frac(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fractions)) if fractions else 1
+    return tuple([f.numerator * (den // f.denominator) for f in fractions]), den
+
+
 def leq(a: State, b: State) -> bool:
     """Coordinatewise weak order: a <= b on every coordinate."""
     return all(x <= y for x, y in zip(a, b))
@@ -236,7 +243,11 @@ class StateSubset:
         return tuple(out)
 
     def states(self) -> tuple[State, ...]:
-        return tuple(self.space.state_at(f) for f in self.flats())
+        # Tuples on hot paths are built from lists, not generators: CPython
+        # allocates a generator's tuple at a guessed length and shrinks it,
+        # so each one takes a fresh block and frees it onto the free list of
+        # its final length, which then holds up to 2,000 idle blocks.
+        return tuple([self.space.state_at(f) for f in self.flats()])
 
     def complement(self) -> "StateSubset":
         return StateSubset(self.space, self.space.full_mask ^ self.mask)
@@ -304,17 +315,14 @@ class Belief:
             raise ValueError("masses do not sum to 1")
         g = math.gcd(self.den, *self.nums)
         if g > 1:
-            object.__setattr__(self, "nums", tuple(n // g for n in self.nums))
+            object.__setattr__(self, "nums", tuple([n // g for n in self.nums]))
             object.__setattr__(self, "den", self.den // g)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_fractions(space: StateSpace, masses: Iterable[RationalLike]) -> "Belief":
-        fractions = [frac(m) for m in masses]
-        den = math.lcm(*(f.denominator for f in fractions)) if fractions else 1
-        nums = tuple(int(f * den) for f in fractions)
-        return Belief(space, nums, den)
+        return Belief(space, *over_common_denominator(masses))
 
     @staticmethod
     def from_weights(space: StateSpace, weights: Sequence[int]) -> "Belief":
@@ -330,6 +338,8 @@ class Belief:
 
     @staticmethod
     def uniform_on(space: StateSpace, subset: StateSubset) -> "Belief":
+        if subset.space != space:
+            raise ValueError("subset lives on a different space")
         if subset.is_empty:
             raise ValueError("uniform distribution over empty set")
         nums = [0] * space.size
@@ -399,9 +409,7 @@ class Belief:
         if subset.space != self.space:
             raise ValueError("subset lives on a different space")
         mask = subset.mask
-        nums = tuple(
-            n if mask >> f & 1 else 0 for f, n in enumerate(self.nums)
-        )
+        nums = tuple([n if mask >> f & 1 else 0 for f, n in enumerate(self.nums)])
         total = sum(nums)
         if total == 0:
             raise ValueError("conditioning on null event")
@@ -429,7 +437,11 @@ class Belief:
 
 
 def mixture(weights: Sequence[RationalLike], beliefs: Sequence[Belief]) -> Belief:
-    """Pointwise convex combination of beliefs sharing one space."""
+    """Pointwise convex combination of beliefs sharing one space.
+
+    Each component's numerators are scaled onto the least common multiple of
+    the products ``weight denominator x belief denominator``.
+    """
     if len(weights) != len(beliefs):
         raise ValueError("one weight per belief required")
     if not beliefs:
@@ -443,11 +455,12 @@ def mixture(weights: Sequence[RationalLike], beliefs: Sequence[Belief]) -> Belie
     for b in beliefs[1:]:
         if b.space != space:
             raise ValueError("mixture components live on different spaces")
-    masses = [Fraction(0)] * space.size
-    for w, b in zip(ws, beliefs):
-        if w == 0:
-            continue
+    terms = [(w, b) for w, b in zip(ws, beliefs) if w]
+    den = math.lcm(*(w.denominator * b.den for w, b in terms))
+    nums = [0] * space.size
+    for w, b in terms:
+        scale = w.numerator * (den // (w.denominator * b.den))
         for f, n in enumerate(b.nums):
             if n:
-                masses[f] += w * Fraction(n, b.den)
-    return Belief.from_fractions(space, masses)
+                nums[f] += scale * n
+    return Belief(space, tuple(nums), den)

@@ -22,6 +22,10 @@ from typing import Optional, Sequence
 from .core import Belief, RationalLike, StateSpace, StateSubset, frac
 
 DEFAULT_UPPER_SET_CAP = 10**6
+# Entries kept per cache, keyed by (space, family, cap).  A canonical basis
+# holds one tuple of Fractions per event, so it keeps fewer.
+_FAMILY_CACHE_SIZE = 64
+_BASIS_CACHE_SIZE = 16
 
 
 class CapExceededError(ValueError):
@@ -140,7 +144,7 @@ def _projection_corners(space: StateSpace) -> list[int]:
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FAMILY_CACHE_SIZE)
 def _family_masks(
     space: StateSpace, kind: UpperFamilyKind, cap: int
 ) -> tuple[int, ...]:
@@ -521,7 +525,7 @@ def _indicator(space: StateSpace, mask: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def canonical_basis(
     space: StateSpace,
     kind: UpperFamilyKind,

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from bayespol import (
     antichain_distributions,
     antichain_dominates,
     build_polarizing_priors,
+    classify,
     compare,
     compare_strong_cw,
     find_one_shot_orthant_instance,
@@ -81,21 +83,36 @@ def _random_antichain(rng, space):
     return picked
 
 
-def test_random_dominant_pairs_produce_strongly_ordered_outputs():
+def _seeded_dominant_pairs(count=60):
+    """Random antichain pairs on 4x4 with high dominating low, drawn from seed 11."""
     rng = random.Random(11)
     space = StateSpace.grid(4, 4)
     produced = 0
-    while produced < 60:
+    while produced < count:
         low = _random_antichain(rng, space)
         high = _random_antichain(rng, space)
         if low.is_empty or high.is_empty:
             continue
         if not antichain_dominates(space, low, high).holds:
             continue
+        yield space, low, high
+        produced += 1
+
+
+def test_random_dominant_pairs_produce_strongly_ordered_outputs():
+    for space, low, high in _seeded_dominant_pairs():
         low_dist, high_dist = antichain_distributions(space, low, high)
         assert compare_strong_cw(low_dist, high_dist).holds
         assert low_dist.support() == low and high_dist.support() == high
-        produced += 1
+
+
+def test_antichain_distributions_match_their_pinned_digest():
+    h = hashlib.sha256()
+    for space, low, high in _seeded_dominant_pairs():
+        low_dist, high_dist = antichain_distributions(space, low, high)
+        h.update(repr((low.mask, high.mask, low_dist.nums, low_dist.den,
+                       high_dist.nums, high_dist.den)).encode())
+    assert h.hexdigest()[:16] == "e049f1a5a1d9daba"
 
 
 def test_joint_solver_satisfies_all_relations():
@@ -156,7 +173,49 @@ def test_delta_respects_the_mixing_inequalities():
     assert (1 - delta) ** 2 * eps > (1 - delta) * 2 * delta + delta**2
 
 
+@pytest.mark.parametrize(
+    "shape,passing,digest",
+    [
+        ((2, 3), 7, "fbc3ff11bb4edcf2"),
+        ((3, 3), 140, "d3f6268b2e938c1f"),
+        ((2, 4), 40, "4b7e58916a516edf"),
+        ((3, 4), 1627, "df6582536fac0ef6"),
+    ],
+)
+def test_build_polarizing_priors_matches_its_pinned_digest(shape, passing, digest):
+    # Both priors, epsilon and delta for every subset the classifier passes.
+    space = StateSpace.grid(*shape)
+    h = hashlib.sha256()
+    built = 0
+    for mask in range(1, space.full_mask):
+        subset = StateSubset(space, mask)
+        if not classify(space, subset).can_strongly_polarize:
+            continue
+        result = build_polarizing_priors(space, subset)
+        low, high = result.prior_low, result.prior_high
+        h.update(repr((mask, low.nums, low.den, high.nums, high.den,
+                       str(result.epsilon), str(result.delta))).encode())
+        built += 1
+    assert built == passing
+    assert h.hexdigest()[:16] == digest
+
+
 # -- mirror-extremes instances -----------------------------------------------------
+
+
+def test_closed_form_instances_match_their_pinned_digest():
+    h = hashlib.sha256()
+    for space in (GRID_2X2, GRID_2X3, GRID_3X3, StateSpace.grid(2, 2, 2), StateSpace.grid(4)):
+        for eps in (F(1, 2), F(3, 7), F(1, 100), F(99, 100)):
+            mirror = mirror_extremes_instance(space, eps)
+            h.update(repr((mirror.prior_low.nums, mirror.prior_low.den,
+                           mirror.prior_high.nums, mirror.prior_high.den)).encode())
+            for n in (3, 7, 20):
+                inst = one_shot_orthant_instance(space, eps, n)
+                h.update(repr((inst.prior_low.nums, inst.prior_low.den,
+                               inst.prior_high.nums, inst.prior_high.den,
+                               inst.likelihood.nums, inst.likelihood.den)).encode())
+    assert h.hexdigest()[:16] == "58f8b9a99d74d267"
 
 
 def test_threshold_is_zero_when_every_axis_is_binary():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bayespol import Belief, StateSpace, StateSubset, leq, ll, mixture
+from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset, leq, ll, mixture
+from bayespol.core import over_common_denominator
 
-from conftest import DIAGONAL, GRID_2X2, GRID_3X3, MIRROR_LOW, beliefs, subsets
+from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, MIRROR_LOW, beliefs, subsets
 
 
 def test_space_validation():
@@ -59,6 +60,27 @@ def test_belief_invariants_enforced():
         Belief.from_fractions(GRID_2X2, ["1/2", "1/2", "1/2", "-1/2"])
     b = Belief(GRID_2X2, (2, 2, 2, 2), 8)
     assert b.den == 4 and b.nums == (1, 1, 1, 1)  # canonicalized
+
+
+def test_common_denominator_scaling():
+    assert over_common_denominator(["1/2", "1/3", 0, 1]) == ((3, 2, 0, 6), 6)
+    assert over_common_denominator([]) == ((), 1)
+    ell = LikelihoodFn.from_fractions(GRID_2X2, ["1/2", "1/4", "3/4", "1"])
+    assert (ell.nums, ell.den) == ((2, 1, 3, 4), 4)
+    with pytest.raises(ValueError, match="negative mass"):
+        Belief.from_fractions(GRID_2X2, ["1/2", "1/2", "1/2", "-1/2"])
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        LikelihoodFn.from_fractions(GRID_2X2, ["1/2", "3/2", "0", "0"])
+    with pytest.raises(TypeError, match="float"):
+        Belief.from_fractions(GRID_2X2, [0.25] * 4)
+
+
+def test_uniform_on_rejects_a_subset_of_another_space():
+    assert Belief.uniform_on(GRID_2X2, DIAGONAL).masses() == (F(1, 2), 0, 0, F(1, 2))
+    with pytest.raises(ValueError, match="different space"):
+        Belief.uniform_on(GRID_3X3, DIAGONAL)
+    with pytest.raises(ValueError, match="different space"):
+        Belief.uniform_on(GRID_2X2, StateSubset(GRID_3X3, 1 << 5))
 
 
 def test_marginal_of_mirror_prior():
@@ -137,21 +159,21 @@ def test_mixture_validation():
         mixture([F(1, 2), F(1, 2)], [MIRROR_LOW, Belief.uniform(GRID_3X3)])
 
 
-def test_layered_mixture_matches_termwise_oracle():
-    # Two-level mixture of four components, expanded term by term.
-    space = GRID_3X3
-    delta = F(1, 4)
-    parts = [
-        Belief.dirac(space, (0, 0)),
-        Belief.uniform_on(space, StateSubset.from_states(space, [(0, 1), (1, 0)])),
-        Belief.dirac(space, (2, 2)),
-        Belief.uniform_on(space, StateSubset.from_states(space, [(1, 2), (2, 1)])),
-    ]
-    weights = [(1 - delta) ** 2, (1 - delta) * delta, delta * (1 - delta), delta**2]
+@given(st.data())
+def test_layered_mixture_matches_termwise_oracle(data):
+    # Up to four components (a layered prior has four), checked state by
+    # state against the sum of the terms in Fraction arithmetic.
+    space = data.draw(st.sampled_from([GRID_2X2, GRID_2X3]))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    parts = [data.draw(beliefs(space)) for _ in range(k)]
+    raw = data.draw(
+        st.lists(st.integers(min_value=0, max_value=12), min_size=k, max_size=k).filter(any)
+    )
+    weights = [F(r, sum(raw)) for r in raw]
     mixed = mixture(weights, parts)
-    for state in space.states:
-        expected = sum(w * p.mass(state) for w, p in zip(weights, parts))
-        assert mixed.mass(state) == expected
+    for f in range(space.size):
+        expected = sum(w * F(p.nums[f], p.den) for w, p in zip(weights, parts))
+        assert mixed.mass_flat(f) == expected
 
 
 @given(beliefs(GRID_2X2), beliefs(GRID_2X2), st.integers(min_value=0, max_value=8))

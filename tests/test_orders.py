@@ -23,8 +23,10 @@ from bayespol import (
     leq,
 )
 from bayespol.orders import (
+    _family_masks,
     _max_closure,
     additive_parts,
+    canonical_basis,
     is_increasing,
     product_parts,
 )
@@ -499,3 +501,13 @@ def test_strong_dominance_gives_strict_expectation_gap():
             if len(set(values)) == 1:
                 continue
             assert lo.expectation(values) < hi.expectation(values)
+
+
+def test_family_caches_are_bounded():
+    for n in range(2, 80):
+        space = StateSpace.grid(n)
+        event_family(space, UO)
+        canonical_basis(space, UO)
+    for cached in (_family_masks, canonical_basis):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
