@@ -25,6 +25,9 @@ def frac(value: RationalLike) -> Fraction:
     """Coerce ints, 'p/q' strings, or Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
         return value
+    # bool is an int subclass; True and False are not rationals
+    if isinstance(value, bool):
+        raise TypeError(f"refusing bool {value!r}; pass an int, Fraction, or 'p/q' string")
     if isinstance(value, float):
         raise TypeError(f"refusing float {value!r}; pass an int, Fraction, or 'p/q' string")
     return Fraction(value)
@@ -159,6 +162,20 @@ class StateSpace:
             for f in reversed(range(self.size))
             if states[f][axis] + 1 < n
         )
+
+    @cached_property
+    def axis_groups(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per axis and per value on it, the flat indices of the states there.
+
+        ``sum(map(nums.__getitem__, g))`` over ``axis_groups[axis]`` gives a
+        mass vector's marginal numerators on that axis.
+        """
+        states = self._states  # type: ignore[attr-defined]
+        groups = [[[] for _ in range(n)] for n in self.shape]
+        for f, state in enumerate(states):
+            for axis, i in enumerate(state):
+                groups[axis][i].append(f)
+        return tuple(tuple([tuple(g) for g in axis]) for axis in groups)
 
     @cached_property
     def up_cones(self) -> tuple[int, ...]:
@@ -389,10 +406,8 @@ class Belief:
         """Per-value numerators of the marginal on one axis (over self.den)."""
         if not 0 <= axis < self.space.ndim:
             raise ValueError(f"axis {axis} out of range for {self.space.ndim}-d space")
-        out = [0] * self.space.shape[axis]
-        for f, state in enumerate(self.space.states):
-            out[state[axis]] += self.nums[f]
-        return out
+        get = self.nums.__getitem__
+        return [sum(map(get, g)) for g in self.space.axis_groups[axis]]
 
     def marginal(self, axis: int) -> Marginal:
         nums = self.marginal_nums(axis)

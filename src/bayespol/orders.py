@@ -416,20 +416,37 @@ def compare(
     )
 
 
+def _strong_cw_failure(
+    space: StateSpace,
+    lnums: Sequence[int],
+    lden: int,
+    hnums: Sequence[int],
+    hden: int,
+) -> Optional[tuple[int, int]]:
+    """First ``(axis, cut)`` where the low cdf fails to exceed the high cdf.
+
+    The masses are integer numerators over ``lden`` and ``hden``; they need
+    not be reduced.  ``None`` means a strict gap at every interior cut.
+    """
+    lget, hget = lnums.__getitem__, hnums.__getitem__
+    for axis, groups in enumerate(space.axis_groups):
+        lc = hc = 0
+        for cut in range(len(groups) - 1):
+            g = groups[cut]
+            lc += sum(map(lget, g))
+            hc += sum(map(hget, g))
+            if lc * hden <= hc * lden:
+                return axis, cut
+    return None
+
+
 def compare_strong_cw(low: Belief, high: Belief) -> StrongCwVerdict:
     """Strict marginal-cdf gap at every interior point of every axis."""
     space = _check_shared_space(low, high)
-    lden, hden = low.den, high.den
-    for axis in range(space.ndim):
-        lmarg = low.marginal_nums(axis)
-        hmarg = high.marginal_nums(axis)
-        lc = hc = 0
-        for cut in range(space.shape[axis] - 1):
-            lc += lmarg[cut]
-            hc += hmarg[cut]
-            if lc * hden <= hc * lden:
-                return StrongCwVerdict(False, axis, cut)
-    return StrongCwVerdict(True)
+    failure = _strong_cw_failure(space, low.nums, low.den, high.nums, high.den)
+    if failure is None:
+        return StrongCwVerdict(True)
+    return StrongCwVerdict(False, *failure)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from itertools import combinations, product as _cartesian
 from typing import Iterator, Optional
 
 from .bayes import LikelihoodFn
-from .core import Belief, State, StateSpace, StateSubset, frac
-from .orders import UpperFamilyKind, compare_strong_cw
+from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
+from .orders import UpperFamilyKind, _strong_cw_failure, compare_strong_cw
 from .polarization import (
     Mode,
     PolarizationReport,
@@ -30,6 +30,10 @@ from .polarization import (
 )
 
 _DEFAULT_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
+# Exhaustive sweeps planned to run more trials than this are refused before
+# they start.  A trial takes about 80-130 us on 2x2 and 3x3 (2-vCPU VM,
+# CPython 3.11), so the budget is roughly 20 minutes of sweeping.
+EXHAUSTIVE_TRIAL_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -78,6 +82,37 @@ class SweepConfig:
         if exhaustive and self.mode is Mode.ONE_SHOT and not any(levels):
             raise ValueError("likelihood_levels has no positive level: no likelihood to run")
         object.__setattr__(self, "likelihood_levels", levels)
+        if exhaustive:
+            planned = self.exhaustive_trials()
+            if planned > EXHAUSTIVE_TRIAL_BUDGET:
+                raise ValueError(
+                    f"denominator_bound {self.denominator_bound} on {states} states plans"
+                    f" {planned:,} exhaustive trials, over the budget of"
+                    f" {EXHAUSTIVE_TRIAL_BUDGET:,}"
+                )
+
+    def exhaustive_trials(self) -> int:
+        """Trials an exhaustive sweep plans: prior pairs times evidence.
+
+        The full-support priors over ``denominator_bound`` number
+        C(D - 1, n - 1) on n states.  Evidence is every likelihood on the
+        level grid but the all-zero ones (L^n - Z^n for L levels, Z of them
+        zero) in one-shot mode, and every proper nonempty subset (2^n - 2),
+        or the one pinned set, in limit mode.  Under ``strong`` the pairs
+        that are not strongly ordered are skipped, so this is an upper bound.
+        """
+        if self.denominator_bound is None:
+            raise ValueError("exhaustive_trials needs a denominator_bound")
+        n = math.prod(self.dims)
+        priors = math.comb(self.denominator_bound - 1, n - 1)
+        if self.mode is Mode.ONE_SHOT:
+            zeros = sum(1 for v in self.likelihood_levels if v == 0)
+            evidence = len(self.likelihood_levels) ** n - zeros**n
+        elif self.identified_set is not None:
+            evidence = 1
+        else:
+            evidence = 2**n - 2
+        return priors * priors * evidence
 
     @property
     def space(self) -> StateSpace:
@@ -151,32 +186,56 @@ def _exhaustive_likelihoods(
     return out
 
 
+def _draw_weights(rng: random.Random, size: int, bound: int) -> list[int]:
+    """``[rng.randint(1, bound) for _ in range(size)]``, draw for draw.
+
+    CPython's ``randint(1, bound)`` is ``1 + rng._randbelow(bound)``: it draws
+    ``bound.bit_length()`` random bits until they fall below ``bound``.  The
+    loop is inlined here to skip ``randrange``'s argument checks, so
+    ``bound`` must be at least 1 (``SweepConfig`` checks ``mass_bound``).
+    """
+    k = bound.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    for _ in range(size):
+        r = getrandbits(k)
+        while r >= bound:
+            r = getrandbits(k)
+        out.append(r + 1)
+    return out
+
+
 def _random_belief(rng: random.Random, space: StateSpace, bound: int) -> Belief:
-    return Belief.from_weights(
-        space, [rng.randint(1, bound) for _ in range(space.size)]
-    )
+    return Belief.from_weights(space, _draw_weights(rng, space.size, bound))
 
 
 def _random_likelihood(
     rng: random.Random, space: StateSpace, levels: tuple[Fraction, ...]
 ) -> LikelihoodFn:
-    values = [levels[rng.randrange(len(levels))] for _ in range(space.size)]
-    if all(v == 0 for v in values):
-        values[rng.randrange(space.size)] = Fraction(1)
-    return LikelihoodFn.from_fractions(space, values)
+    nums, den = over_common_denominator(levels)
+    picks = [nums[rng.randrange(len(nums))] for _ in range(space.size)]
+    if not any(picks):
+        picks[rng.randrange(space.size)] = den
+    return LikelihoodFn(space, tuple(picks), den)
 
 
 def _random_strong_pair(
     rng: random.Random, space: StateSpace, bound: int
 ) -> tuple[Belief, Belief]:
-    """Rejection-sample a strongly coordinatewise ordered full-support pair."""
+    """Rejection-sample a strongly coordinatewise ordered full-support pair.
+
+    Each draw is two weight vectors, tested in both directions on the raw
+    integers; only the accepted pair becomes ``Belief``s.
+    """
+    size = space.size
     while True:
-        a = _random_belief(rng, space, bound)
-        b = _random_belief(rng, space, bound)
-        if compare_strong_cw(a, b):
-            return a, b
-        if compare_strong_cw(b, a):
-            return b, a
+        a = _draw_weights(rng, size, bound)
+        b = _draw_weights(rng, size, bound)
+        sa, sb = sum(a), sum(b)
+        if _strong_cw_failure(space, a, sa, b, sb) is None:
+            return Belief(space, tuple(a), sa), Belief(space, tuple(b), sb)
+        if _strong_cw_failure(space, b, sb, a, sa) is None:
+            return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
 
 
 _Trial = tuple[Belief, Belief, Optional[LikelihoodFn], Optional[StateSubset]]

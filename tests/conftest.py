@@ -47,3 +47,25 @@ def likelihoods(space, max_den=4):
     ).filter(lambda v: any(v)).map(
         lambda v: LikelihoodFn(space, tuple(v), max_den)
     )
+
+
+def strong_cw_failure_by_state_loop(low, high):
+    """First ``(axis, cut)`` where low's marginal cdf fails to exceed high's.
+
+    The slow path the shared strong-CW kernel replaced: each marginal is a
+    loop over every state, then a cdf scan cut by cut.
+    """
+    space = low.space
+    for axis in range(space.ndim):
+        lmarg = [0] * space.shape[axis]
+        hmarg = [0] * space.shape[axis]
+        for f, state in enumerate(space.states):
+            lmarg[state[axis]] += low.nums[f]
+            hmarg[state[axis]] += high.nums[f]
+        lc = hc = 0
+        for cut in range(space.shape[axis] - 1):
+            lc += lmarg[cut]
+            hc += hmarg[cut]
+            if lc * high.den <= hc * low.den:
+                return axis, cut
+    return None

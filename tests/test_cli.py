@@ -1,14 +1,19 @@
+import copy
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bayespol import UpperFamilyKind, compare, limit
+from bayespol import UpperFamilyKind, UtilityFamilyKind, compare, limit
 from bayespol.cli import ScenarioError, load_scenario, parse_scenario, run, scenario_to_doc
 
 from conftest import DIAGONAL, MIRROR_HIGH, MIRROR_LOW
@@ -180,6 +185,118 @@ def test_index_fields_reject_floats_and_bools(field, value, named):
 
 
 @pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({"dims": [[False, True], [0, 1]], "prior_low": [True, 0, 0, 0]}, "dims[0]"),
+        (dict(MIRROR_DOC, dims=[["0", "1"], [0, True]]), "dims[1]"),
+        (dict(MIRROR_DOC, prior_low=[True, 0, 0, 0]), "prior_low[0]"),
+        (dict(MIRROR_DOC, prior_high=["1/2", "1/2", False, "0"]), "prior_high[2]"),
+        (dict(MIRROR_DOC, likelihood=["1/2", True, "1/2", "1/2"]), "likelihood[1]"),
+        (dict(MIRROR_DOC, utility=[0, 0, 0, True]), "utility[3]"),
+    ],
+)
+def test_rational_fields_reject_bools(doc, named):
+    with pytest.raises(ScenarioError, match=re.escape(f"'{named}'")):
+        parse_scenario(doc)
+
+
+# -- fuzzed scenarios ------------------------------------------------------------
+
+_RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _written(draw, value):
+    """A rational as the JSON a user may write: a 'p/q' string or a bare int."""
+    if value.denominator == 1 and draw(st.booleans()):
+        return int(value)
+    return str(value)
+
+
+@st.composite
+def scenario_docs(draw):
+    shape = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    size = math.prod(shape)
+    states = [list(s) for s in product(*(range(n) for n in shape))]
+    doc = {
+        "dims": [
+            [_written(draw, v) for v in sorted(draw(st.sets(_RATIONALS, min_size=n, max_size=n)))]
+            for n in shape
+        ]
+    }
+    weights = st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any)
+    quarters = st.lists(st.integers(0, 4), min_size=size, max_size=size)
+    if draw(st.booleans()):
+        doc["name"] = draw(st.text(max_size=8))
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.integers(0, 2**40))
+    for field in ("prior_low", "prior_high"):
+        if draw(st.booleans()):
+            w = draw(weights)
+            doc[field] = [_written(draw, F(x, sum(w))) for x in w]
+    if draw(st.booleans()):
+        doc["likelihood"] = [_written(draw, F(x, 4)) for x in draw(quarters.filter(any))]
+    if draw(st.booleans()):
+        q = draw(quarters.filter(lambda q: any(q) and not all(x == 4 for x in q)))
+        doc["signal"] = {
+            "realizations": ["a", "b"],
+            "table": {
+                "a": [_written(draw, F(x, 4)) for x in q],
+                "b": [_written(draw, F(4 - x, 4)) for x in q],
+            },
+        }
+    if draw(st.booleans()):
+        picked = draw(st.sets(st.integers(0, size - 1), min_size=1))
+        doc["identified_set"] = [states[f] for f in sorted(picked)]
+    if draw(st.booleans()):
+        doc["truth"] = draw(st.sampled_from(states))
+    if draw(st.booleans()):
+        doc["utility"] = [_written(draw, v) for v in draw(st.lists(_RATIONALS, min_size=size, max_size=size))]
+        doc["utility_family"] = draw(st.sampled_from([k.value for k in UtilityFamilyKind]))
+    return json.loads(json.dumps(doc))
+
+
+def _scalar_fields(doc):
+    """``(path into doc, field name an error must give)`` for every scalar field."""
+    for k, axis in enumerate(doc["dims"]):
+        for i in range(len(axis)):
+            yield ("dims", k, i), f"dims[{k}]"
+    for field in ("prior_low", "prior_high", "likelihood", "utility", "truth"):
+        for i in range(len(doc.get(field, ()))):
+            yield (field, i), f"{field}[{i}]"
+    for label, values in doc.get("signal", {}).get("table", {}).items():
+        for i in range(len(values)):
+            yield ("signal", "table", label, i), f"signal.table['{label}'][{i}]"
+    for i, state in enumerate(doc.get("identified_set", ())):
+        for j in range(len(state)):
+            yield ("identified_set", i, j), f"identified_set[{i}][{j}]"
+    if "seed" in doc:
+        yield ("seed",), "seed"
+
+
+@given(scenario_docs())
+def test_fuzzed_scenarios_round_trip(doc):
+    scenario = parse_scenario(doc)
+    canonical = scenario_to_doc(scenario)
+    assert json.loads(json.dumps(canonical)) == canonical
+    again = parse_scenario(canonical)
+    assert again == scenario
+    assert scenario_to_doc(again) == canonical
+
+
+@given(scenario_docs(), st.data())
+def test_fuzzed_floats_and_bools_are_refused_by_field(doc, data):
+    path, named = data.draw(st.sampled_from(list(_scalar_fields(doc))))
+    bad = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, True, False]))
+    corrupted = copy.deepcopy(doc)
+    owner = corrupted
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = bad
+    with pytest.raises(ScenarioError, match=re.escape(f"'{named}'")):
+        parse_scenario(corrupted)
+
+
+@pytest.mark.parametrize(
     "var,value", [("BAYESPOL_TRIALS", "abc"), ("BAYESPOL_SEED", "1.5"), ("BAYESPOL_ORDER", "xx")]
 )
 def test_malformed_env_default_is_a_usage_error(monkeypatch, capsys, var, value):
@@ -214,6 +331,16 @@ def test_domain_error_exits_one(tmp_path, capsys):
     code = run(["construct", str(path)])
     assert code == 1
     assert "compensatory" in capsys.readouterr().err
+
+
+def test_over_budget_exhaustive_sweep_exits_at_once_with_the_count(capsys):
+    # C(29, 8)^2 full-support prior pairs over denominator 30 on 3x3, times
+    # the 2^9 - 2 evidence sets: the sweep is refused before it starts
+    code = run(["sweep", "--dims", "3x3", "--denominator-bound", "30"])
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert code == 1
+    assert "denominator_bound" in error
+    assert f"{math.comb(29, 8) ** 2 * 510:,}" in error
 
 
 def test_usage_error_exits_two():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset, leq, ll, mixture
-from bayespol.core import over_common_denominator
+from bayespol.core import frac, over_common_denominator
 
 from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, MIRROR_LOW, beliefs, subsets
 
@@ -48,6 +48,10 @@ def test_order_tables_match_the_coordinatewise_order(shape):
         if leq(a, b) and sum(b) == sum(a) + 1
     }
     assert sorted(space.cover_edges) == sorted(covers)
+    for axis, groups in enumerate(space.axis_groups):
+        assert groups == tuple(
+            tuple(f for f, a in enumerate(states) if a[axis] == v) for v in range(shape[axis])
+        )
     # the tables are cached on the instance without entering equality
     assert space == StateSpace.grid(*shape)
     assert hash(space) == hash(StateSpace.grid(*shape))
@@ -73,6 +77,17 @@ def test_common_denominator_scaling():
         LikelihoodFn.from_fractions(GRID_2X2, ["1/2", "3/2", "0", "0"])
     with pytest.raises(TypeError, match="float"):
         Belief.from_fractions(GRID_2X2, [0.25] * 4)
+
+
+def test_booleans_are_not_rationals():
+    assert frac(F(1, 2)) == F(1, 2) and frac(3) == 3 and frac("2/6") == F(1, 3)
+    for value in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            frac(value)
+    with pytest.raises(TypeError, match="bool"):
+        Belief.from_fractions(GRID_2X2, [True, 0, 0, 0])
+    with pytest.raises(TypeError, match="bool"):
+        StateSpace.make([[False, True], [0, 1]])
 
 
 def test_uniform_on_rejects_a_subset_of_another_space():

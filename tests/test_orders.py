@@ -25,6 +25,7 @@ from bayespol import (
 from bayespol.orders import (
     _family_masks,
     _max_closure,
+    _strong_cw_failure,
     additive_parts,
     canonical_basis,
     is_increasing,
@@ -39,6 +40,7 @@ from conftest import (
     MIRROR_HIGH,
     MIRROR_LOW,
     beliefs,
+    strong_cw_failure_by_state_loop,
 )
 
 ST = UpperFamilyKind.UPPER_SET
@@ -407,6 +409,26 @@ def test_strong_cw_fails_on_equal_beliefs_with_axis_witness():
     verdict = compare_strong_cw(uniform, uniform)
     assert not verdict.holds
     assert verdict.axis == 0 and verdict.cut == 0
+
+
+@settings(max_examples=400)
+@given(_st_pairs(), st.integers(1, 6), st.integers(1, 6))
+def test_strong_cw_kernel_matches_the_state_loop(pair, low_scale, high_scale):
+    """Both directions, on reduced beliefs and on unreduced numerators."""
+    low, high = pair
+    space = low.space
+    for a, b in ((low, high), (high, low)):
+        expected = strong_cw_failure_by_state_loop(a, b)
+        verdict = compare_strong_cw(a, b)
+        assert verdict.holds is (expected is None)
+        assert (verdict.axis, verdict.cut) == (expected or (None, None))
+        assert _strong_cw_failure(
+            space,
+            [low_scale * n for n in a.nums],
+            low_scale * a.den,
+            [high_scale * n for n in b.nums],
+            high_scale * b.den,
+        ) == expected
 
 
 @given(beliefs(GRID_2X3, full_support=True), beliefs(GRID_2X3, full_support=True))

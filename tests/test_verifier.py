@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,6 +10,8 @@ import pytest
 import bayespol.actions as actions_module
 import bayespol.verifier as verifier_module
 from bayespol import (
+    Belief,
+    LikelihoodFn,
     Mode,
     StateSpace,
     SweepConfig,
@@ -20,9 +24,15 @@ from bayespol import (
     sweep,
 )
 
-from bayespol.verifier import _compositions
+from bayespol.verifier import (
+    EXHAUSTIVE_TRIAL_BUDGET,
+    _compositions,
+    _draw_weights,
+    _random_likelihood,
+    _random_strong_pair,
+)
 
-from conftest import DIAGONAL, GRID_2X2
+from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, strong_cw_failure_by_state_loop
 
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
@@ -132,6 +142,95 @@ def test_config_validation():
     assert SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=(0, "1/3", 1))
     with pytest.raises(ValueError, match="mass_bound"):
         family_polarization_search(PRODUCTS, Mode.LIMIT, GRID_2X2, trials=5, mass_bound=0)
+
+
+def test_likelihood_levels_refuse_booleans():
+    for levels in ((False, True), (0, True), (F(1, 2), False)):
+        with pytest.raises(ValueError, match="likelihood_levels.*bool"):
+            SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=levels)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SweepConfig(CW, Mode.LIMIT, (2, 2), denominator_bound=6),
+        SweepConfig(ST, Mode.ONE_SHOT, (2, 2), denominator_bound=5),
+        SweepConfig(
+            UO, Mode.ONE_SHOT, (2, 2), denominator_bound=4, likelihood_levels=(0, 0, "1/2")
+        ),
+        SweepConfig(CW, Mode.LIMIT, (2, 3), denominator_bound=7, identified_set=((0, 0),)),
+        SweepConfig(ST, Mode.ONE_SHOT, (4,), denominator_bound=5),
+    ],
+    ids=["limit", "oneshot", "oneshot-zero-levels", "pinned", "flat"],
+)
+def test_exhaustive_trial_count_is_the_planned_count(config):
+    assert sweep(config).trials_run == config.exhaustive_trials()
+
+
+def test_exhaustive_sweeps_over_budget_are_refused_up_front():
+    # 3x3 over denominator 30: C(29, 8)^2 prior pairs times 2^9 - 2 subsets
+    planned = math.comb(29, 8) ** 2 * 510
+    assert planned > EXHAUSTIVE_TRIAL_BUDGET
+    with pytest.raises(ValueError, match=f"denominator_bound 30 .* {planned:,} "):
+        SweepConfig(CW, Mode.LIMIT, (3, 3), denominator_bound=30)
+    # the same grid pinned to one set: C(29, 8)^2 trials, still over budget
+    with pytest.raises(ValueError, match=f"{math.comb(29, 8) ** 2:,}"):
+        SweepConfig(CW, Mode.LIMIT, (3, 3), denominator_bound=30, identified_set=((0, 0),))
+    # AC5's exhaustive sweep, the largest in the tests and the benchmark, fits
+    assert SweepConfig(ST, Mode.ONE_SHOT, (2, 2), denominator_bound=6).exhaustive_trials() == 8000
+
+
+# -- samplers against the slow paths they replaced -------------------------------
+
+
+def test_draw_weights_is_randint_draw_for_draw():
+    # powers of two included: there half the bit draws are rejected
+    for bound in range(1, 41):
+        for seed in range(8):
+            fast, slow = random.Random(f"{seed}:{bound}"), random.Random(f"{seed}:{bound}")
+            assert _draw_weights(fast, 9, bound) == [slow.randint(1, bound) for _ in range(9)]
+            assert fast.getstate() == slow.getstate()
+
+
+def _strong_pair_by_old_loop(rng, space, bound):
+    """Beliefs for every draw, both directions through the state-loop cdfs."""
+    while True:
+        a = Belief.from_weights(space, [rng.randint(1, bound) for _ in range(space.size)])
+        b = Belief.from_weights(space, [rng.randint(1, bound) for _ in range(space.size)])
+        if strong_cw_failure_by_state_loop(a, b) is None:
+            return a, b
+        if strong_cw_failure_by_state_loop(b, a) is None:
+            return b, a
+
+
+@pytest.mark.parametrize("space", [GRID_2X3, GRID_3X3], ids=["2x3", "3x3"])
+def test_strong_pairs_match_the_old_rejection_loop(space):
+    for seed in range(3000):
+        fast, slow = random.Random(f"{seed}:0"), random.Random(f"{seed}:0")
+        assert _random_strong_pair(fast, space, 12) == _strong_pair_by_old_loop(slow, space, 12)
+        assert fast.getstate() == slow.getstate()
+
+
+def _likelihood_by_fractions(rng, space, levels):
+    values = [levels[rng.randrange(len(levels))] for _ in range(space.size)]
+    if all(v == 0 for v in values):
+        values[rng.randrange(space.size)] = F(1)
+    return LikelihoodFn.from_fractions(space, values)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(F(0), F(1, 2), F(1)), (F(0),), (F(0), F(1, 3), F(3, 4)), (F(2, 5),)],
+    ids=["default", "zero", "thirds-quarters", "one-level"],
+)
+def test_random_likelihood_matches_the_fraction_path(levels):
+    for space in (GRID_2X2, GRID_3X3):
+        for seed in range(300):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert _random_likelihood(fast, space, levels) == _likelihood_by_fractions(
+                slow, space, levels
+            )
+            assert fast.getstate() == slow.getstate()
 
 
 def test_compositions_are_every_positive_vector_in_lexicographic_order():
