@@ -14,10 +14,18 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .bayes import LikelihoodFn, limit_posterior, update
-from .core import Belief, RationalLike, StateSpace, StateSubset, frac
+from .core import (
+    Belief,
+    RationalLike,
+    StateSpace,
+    StateSubset,
+    frac,
+    over_common_denominator,
+)
 from .construct import (
     ConstructionResult,
     OneShotOrthantInstance,
@@ -145,17 +153,26 @@ class FamilySearchOutcome:
 
 
 def _all_basis_movements_polarize(
-    basis: Sequence[Sequence[Fraction]],
+    basis: Sequence[Sequence[Union[int, Fraction]]],
     prior_low: Belief,
     prior_high: Belief,
     evidence: Evidence,
 ) -> bool:
+    """True iff every basis function's expectation strictly falls for the
+    low agent and strictly rises for the high agent.
+
+    ``E_q[u] < E_p[u]`` is tested as ``Σu·q.nums · p.den < Σu·p.nums · q.den``,
+    which is exact for rational ``u`` and pure integer arithmetic when ``u``
+    has integer entries.
+    """
     post_low = _posterior(prior_low, evidence)
     post_high = _posterior(prior_high, evidence)
+    pl, ql, ph, qh = prior_low.nums, post_low.nums, prior_high.nums, post_high.nums
+    pld, qld, phd, qhd = prior_low.den, post_low.den, prior_high.den, post_high.den
     for u in basis:
-        if post_low.expectation(u) >= prior_low.expectation(u):
+        if sum(map(mul, u, ql)) * pld >= sum(map(mul, u, pl)) * qld:
             return False
-        if post_high.expectation(u) <= prior_high.expectation(u):
+        if sum(map(mul, u, qh)) * phd <= sum(map(mul, u, ph)) * qhd:
             return False
     return True
 
@@ -179,7 +196,12 @@ def family_polarization_search(
     trials where every basis member's expectations strictly diverge; the
     returned evidence records that none were found.
     """
-    funcs = _generating_basis(space, _FAMILY_ORDER[family], basis)
+    # Each function over its own positive common denominator: the same signs
+    # in every comparison, and integer arithmetic in the predicate.
+    funcs = tuple(
+        over_common_denominator(u)[0]
+        for u in _generating_basis(space, _FAMILY_ORDER[family], basis)
+    )
 
     if (family, mode) in _POSSIBLE_CELLS:
         if family is UtilityFamilyKind.SUMS_OF_INCREASING:

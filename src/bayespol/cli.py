@@ -10,12 +10,15 @@ Exit status: 0 on success, 1 on domain errors (including malformed scenario
 content, reported with the offending field named), 2 on usage errors.
 
 Environment overrides, mirroring the flags: BAYESPOL_SEED, BAYESPOL_TRIALS,
-BAYESPOL_DENOMINATOR_BOUND, BAYESPOL_ORDER, BAYESPOL_MODE.  A malformed
-value is a usage error that names the variable.
+BAYESPOL_DENOMINATOR_BOUND, BAYESPOL_ORDER, BAYESPOL_MODE.  All five are
+read on every ``run`` call and fill in the flags left unset, so a change
+between two calls in one process takes effect.  A malformed value is a
+usage error that names the variable, even when its flag is given.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -475,7 +478,8 @@ _NEEDS_SCENARIO = {"update", "compare", "classify", "construct", "polarize", "si
 
 
 def _env(parser: argparse.ArgumentParser, name: str, cast, fallback, choices=None):
-    """Default for a flag from ``BAYESPOL_<name>``; a malformed value exits 2."""
+    """Value of ``BAYESPOL_<name>``, or ``fallback`` when it is unset; a
+    malformed value exits 2."""
     var = ENV_PREFIX + name
     raw = os.environ.get(var)
     if raw is None:
@@ -510,6 +514,9 @@ def _deltas_arg(raw: str) -> list[Fraction]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  It does not read the environment: the flags
+    that ``BAYESPOL_*`` variables back default to None, and ``run`` fills
+    them in (``_ENV_FLAGS``)."""
     parser = argparse.ArgumentParser(
         prog="bayespol",
         description="Exact-arithmetic belief polarization toolkit",
@@ -522,22 +529,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--order",
             choices=tuple(_ORDER_BY_FLAG),
-            default=_env(parser, "ORDER", str, "cw", tuple(_ORDER_BY_FLAG)),
             help="stochastic order: upper sets, upper orthants, or coordinatewise",
         )
-        p.add_argument(
-            "--mode",
-            choices=tuple(_MODE_BY_FLAG),
-            default=_env(parser, "MODE", str, "limit", tuple(_MODE_BY_FLAG)),
-        )
-        p.add_argument("--seed", type=int, default=_env(parser, "SEED", int, None))
-        p.add_argument(
-            "--trials", type=int, default=_env(parser, "TRIALS", int, 10_000)
-        )
+        p.add_argument("--mode", choices=tuple(_MODE_BY_FLAG))
+        p.add_argument("--seed", type=int)
+        p.add_argument("--trials", type=int)
         p.add_argument(
             "--denominator-bound",
             type=int,
-            default=_env(parser, "DENOMINATOR_BOUND", int, None),
             help="exhaustive prior grid with this common denominator",
         )
         p.add_argument("--table", help="also write the tabular output to this TSV file")
@@ -562,9 +561,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process; parse_args leaves it unchanged.
+    return build_parser()
+
+
+# Flags backed by BAYESPOL_<NAME>: (attribute, NAME, cast, fallback, choices).
+_ENV_FLAGS = (
+    ("order", "ORDER", str, "cw", tuple(_ORDER_BY_FLAG)),
+    ("mode", "MODE", str, "limit", tuple(_MODE_BY_FLAG)),
+    ("seed", "SEED", int, None, None),
+    ("trials", "TRIALS", int, 10_000, None),
+    ("denominator_bound", "DENOMINATOR_BOUND", int, None, None),
+)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    # Every variable is read, even behind a given flag, so a malformed one
+    # is always a usage error.
+    for attr, name, cast, fallback, choices in _ENV_FLAGS:
+        value = _env(parser, name, cast, fallback, choices)
+        if getattr(args, attr) is None:
+            setattr(args, attr, value)
     try:
         scenario = None
         if args.command in _NEEDS_SCENARIO:

@@ -9,6 +9,7 @@ the partial order, never for arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -433,11 +434,8 @@ class Belief:
     def expectation(self, values: Sequence[RationalLike]) -> Fraction:
         if len(values) != self.space.size:
             raise ValueError("value vector length mismatch")
-        acc = Fraction(0)
-        for n, v in zip(self.nums, values):
-            if n:
-                acc += n * frac(v)
-        return acc / self.den
+        nums, den = over_common_denominator(values)
+        return Fraction(sum(map(operator.mul, self.nums, nums)), den * self.den)
 
     def tv_distance(self, other: "Belief") -> Fraction:
         if other.space != self.space:

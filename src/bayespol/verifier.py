@@ -36,6 +36,12 @@ _DEFAULT_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 EXHAUSTIVE_TRIAL_BUDGET = 10**7
 
 
+def _check_int(field: str, value) -> None:
+    # bool is an int subclass, but True is not a trial count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One cell's search plan.
@@ -60,6 +66,16 @@ class SweepConfig:
     identified_set: Optional[tuple[State, ...]] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dims, tuple) or not self.dims:
+            raise ValueError(f"dims must be a nonempty tuple of axis sizes, got {self.dims!r}")
+        for k, n in enumerate(self.dims):
+            _check_int(f"dims[{k}]", n)
+            if n < 2:
+                raise ValueError(f"dims[{k}] must be at least 2, got {n}")
+        for name in ("trials", "seed", "mass_bound"):
+            _check_int(name, getattr(self, name))
+        if self.denominator_bound is not None:
+            _check_int("denominator_bound", self.denominator_bound)
         if self.denominator_bound is None and self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         states = math.prod(self.dims)

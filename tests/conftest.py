@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import strategies as st
 
-from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset
+from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset, limit_posterior, update
 
 GRID_2X2 = StateSpace.grid(2, 2)
 GRID_2X3 = StateSpace.grid(2, 3)
@@ -69,3 +71,33 @@ def strong_cw_failure_by_state_loop(low, high):
             if lc * high.den <= hc * low.den:
                 return axis, cut
     return None
+
+
+def expectation_by_state_loop(belief, values):
+    """``E[values]`` as a ``Fraction`` sum over the states with positive mass.
+
+    The slow path ``Belief.expectation`` replaced.
+    """
+    acc = Fraction(0)
+    for n, v in zip(belief.nums, values):
+        if n:
+            acc += n * Fraction(v)
+    return acc / belief.den
+
+
+def all_basis_movements_by_expectation(basis, prior_low, prior_high, evidence):
+    """Every basis function's expectation strictly falls for the low agent
+    and strictly rises for the high agent.
+
+    The slow path the integer basis predicate replaced: one ``Fraction``
+    expectation per agent, basis function and prior or posterior.
+    """
+    posterior = update if isinstance(evidence, LikelihoodFn) else limit_posterior
+    post_low = posterior(prior_low, evidence)
+    post_high = posterior(prior_high, evidence)
+    for u in basis:
+        if expectation_by_state_loop(post_low, u) >= expectation_by_state_loop(prior_low, u):
+            return False
+        if expectation_by_state_loop(post_high, u) <= expectation_by_state_loop(prior_high, u):
+            return False
+    return True

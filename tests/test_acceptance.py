@@ -43,6 +43,8 @@ from bayespol import (
 )
 from bayespol.cli import load_scenario
 
+pytestmark = pytest.mark.acceptance
+
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
 CW = UpperFamilyKind.UPPER_PROJECTION

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayespol import (
     LikelihoodFn,
@@ -9,6 +11,7 @@ from bayespol import (
     StateSpace,
     StateSubset,
     Strictness,
+    SweepConfig,
     UpperFamilyKind,
     UtilityFamilyKind,
     UtilityFn,
@@ -23,9 +26,19 @@ from bayespol import (
     tradeoff_curve,
 )
 from bayespol.actions import _all_basis_movements_polarize, _posterior
-from bayespol.verifier import _random_belief, _random_likelihood
+from bayespol.core import over_common_denominator
+from bayespol.verifier import _random_belief, _random_likelihood, _trials
 
-from conftest import DIAGONAL, GRID_2X2, MIRROR_HIGH, MIRROR_LOW
+from conftest import (
+    DIAGONAL,
+    GRID_2X2,
+    MIRROR_HIGH,
+    MIRROR_LOW,
+    all_basis_movements_by_expectation,
+    beliefs,
+    likelihoods,
+    subsets,
+)
 
 SUMS = UtilityFamilyKind.SUMS_OF_INCREASING
 PRODUCTS = UtilityFamilyKind.PRODUCTS_OF_NONNEG_INCREASING
@@ -164,6 +177,59 @@ def test_basis_predicate_is_all_events_strict_movement():
         assert _all_basis_movements_polarize(basis, low, high, evidence) == expected
         positives += expected
     assert positives > 2
+
+
+ORACLE_GRIDS = tuple(StateSpace.grid(*shape) for shape in ((2, 2), (2, 3), (3, 3), (2, 2, 2)))
+
+
+@st.composite
+def predicate_cases(draw):
+    space = draw(st.sampled_from(ORACLE_GRIDS))
+    low = draw(beliefs(space, full_support=True))
+    high = draw(beliefs(space, full_support=True))
+    evidence = draw(st.one_of(likelihoods(space), subsets(space)))
+    kind = draw(st.sampled_from(list(UpperFamilyKind)))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    user = draw(
+        st.lists(
+            st.lists(entry, min_size=space.size, max_size=space.size).map(tuple),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return low, high, evidence, canonical_basis(space, kind), tuple(user)
+
+
+def _scaled(basis):
+    return tuple(over_common_denominator(u)[0] for u in basis)
+
+
+@settings(deadline=None)
+@given(predicate_cases())
+def test_basis_predicate_matches_the_expectation_oracle(case):
+    low, high, evidence, canonical, user = case
+    for basis in (canonical, user):
+        # the whole basis, then one function at a time so that both
+        # outcomes occur; integer scaling keeps every verdict
+        for funcs in (basis, *((u,) for u in basis)):
+            expected = all_basis_movements_by_expectation(funcs, low, high, evidence)
+            assert _all_basis_movements_polarize(funcs, low, high, evidence) == expected
+            assert _all_basis_movements_polarize(_scaled(funcs), low, high, evidence) == expected
+
+
+@pytest.mark.parametrize("mode", [Mode.ONE_SHOT, Mode.LIMIT])
+def test_family_search_on_a_rational_basis_finds_the_oracle_hits(mode):
+    # increasing, with non-unit and negative rational entries
+    basis = [(F(-2, 3), F(1, 3), F(1, 2), F(7, 5)), (F(0), F(0), F(5, 2), F(5, 2))]
+    config = SweepConfig(UpperFamilyKind.UPPER_SET, mode, (2, 2), trials=300, seed=5)
+    expected = []
+    for low, high, ell, ident in _trials(config, GRID_2X2):
+        evidence = ell if ident is None else ident
+        if all_basis_movements_by_expectation(basis, low, high, evidence):
+            expected.append((low, high, evidence))
+    out = family_polarization_search(INCREASING, mode, GRID_2X2, basis=basis, trials=300, seed=5)
+    assert expected
+    assert [(h["prior_low"], h["prior_high"], h["evidence"]) for h in out.sweep.hits] == expected
 
 
 def test_family_table_matches_order_possibilities():

@@ -14,7 +14,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bayespol import UpperFamilyKind, UtilityFamilyKind, compare, limit
-from bayespol.cli import ScenarioError, load_scenario, parse_scenario, run, scenario_to_doc
+from bayespol.cli import (
+    ScenarioError,
+    build_parser,
+    load_scenario,
+    parse_scenario,
+    run,
+    scenario_to_doc,
+)
 
 from conftest import DIAGONAL, MIRROR_HIGH, MIRROR_LOW
 
@@ -139,6 +146,64 @@ def test_env_overrides(capsys, monkeypatch):
     assert code == 0
     assert doc["trials_run"] == 120
     assert doc["seed"] == 4
+
+
+ENV_VARS = {
+    "BAYESPOL_SEED": "5",
+    "BAYESPOL_TRIALS": "9",
+    "BAYESPOL_DENOMINATOR_BOUND": "6",
+    "BAYESPOL_ORDER": "st",
+    "BAYESPOL_MODE": "oneshot",
+}
+
+
+@pytest.fixture
+def no_env(monkeypatch):
+    for var in ENV_VARS:
+        monkeypatch.delenv(var, raising=False)
+    return monkeypatch
+
+
+def test_env_is_read_again_on_every_call(capsys, no_env):
+    no_env.setenv("BAYESPOL_TRIALS", "30")
+    _, first = _run_json(capsys, ["sweep", "--order", "uo"])
+    no_env.setenv("BAYESPOL_TRIALS", "45")
+    _, second = _run_json(capsys, ["sweep", "--order", "uo"])
+    no_env.delenv("BAYESPOL_TRIALS")
+    _, third = _run_json(capsys, ["sweep", "--order", "uo", "--trials", "12"])
+    assert [d["trials_run"] for d in (first, second, third)] == [30, 45, 12]
+
+
+def test_flags_do_not_carry_into_the_next_call(tmp_path, capsys, no_env):
+    out = tmp_path / "report.json"
+    argv = ["sweep", "--trials", "20", "--seed", "7", "--order", "st", "--mode", "oneshot"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["seed"] == 7
+    code, doc = _run_json(capsys, ["sweep", "--trials", "20"])
+    assert code == 0
+    assert (doc["seed"], doc["order"], doc["mode"]) == (0, "cw", "limit")
+
+
+def test_repeated_argv_prints_the_same_report(capsys, no_env):
+    # an exhaustive sweep of a possible cell, so a counterexample is compared too
+    argv = ["sweep", "--order", "cw", "--mode", "limit", "--denominator-bound", "5"]
+    docs = [_run_json(capsys, argv)[1] for _ in range(2)]
+    for doc in docs:
+        doc.pop("elapsed_s")
+        doc["table"][0][-1] = None  # the elapsed_s column
+    assert docs[0]["counterexamples_found"] > 0
+    assert docs[0] == docs[1]
+
+
+def test_build_parser_does_not_read_the_environment(no_env):
+    clean = vars(build_parser().parse_args(["sweep"]))
+    for var, value in ENV_VARS.items():
+        no_env.setenv(var, value)
+    assert vars(build_parser().parse_args(["sweep"])) == clean
+    no_env.setenv("BAYESPOL_TRIALS", "abc")
+    assert vars(build_parser().parse_args(["sweep"])) == clean
+    assert all(clean[flag] is None for flag in ("seed", "trials", "denominator_bound", "order", "mode"))
 
 
 def test_scenario_round_trip_is_canonical(mirror_scenario):

@@ -7,7 +7,16 @@ from hypothesis import strategies as st
 from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset, leq, ll, mixture
 from bayespol.core import frac, over_common_denominator
 
-from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, MIRROR_LOW, beliefs, subsets
+from conftest import (
+    DIAGONAL,
+    GRID_2X2,
+    GRID_2X3,
+    GRID_3X3,
+    MIRROR_LOW,
+    beliefs,
+    expectation_by_state_loop,
+    subsets,
+)
 
 
 def test_space_validation():
@@ -123,6 +132,32 @@ def test_marginal_matches_double_loop_oracle(b):
         for state in GRID_3X3.states:
             oracle[state[axis]] += b.mass(state)
         assert b.marginal(axis).masses == tuple(oracle)
+
+
+@given(
+    beliefs(GRID_3X3),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-20, max_value=20),
+            st.fractions(min_value=-5, max_value=5, max_denominator=30),
+        ),
+        min_size=GRID_3X3.size,
+        max_size=GRID_3X3.size,
+    ),
+)
+def test_expectation_matches_the_state_loop_oracle(b, values):
+    e = b.expectation(values)
+    assert type(e) is F
+    assert e == expectation_by_state_loop(b, values)
+    assert b.expectation([str(v) for v in values]) == e
+
+
+def test_expectation_refuses_floats_bools_and_a_length_mismatch():
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            MIRROR_LOW.expectation([0, 1, 1, bad])
+    with pytest.raises(ValueError, match="length"):
+        MIRROR_LOW.expectation([0, 1, 1])
 
 
 def test_condition_on_diagonal():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -142,6 +143,36 @@ def test_config_validation():
     assert SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=(0, "1/3", 1))
     with pytest.raises(ValueError, match="mass_bound"):
         family_polarization_search(PRODUCTS, Mode.LIMIT, GRID_2X2, trials=5, mass_bound=0)
+
+
+# (field, value, the name the error gives)
+NON_INTEGER_FIELDS = [
+    ("trials", True, "trials"),
+    ("trials", 10.0, "trials"),
+    ("seed", 1.5, "seed"),
+    ("seed", False, "seed"),
+    ("seed", "3", "seed"),
+    ("mass_bound", True, "mass_bound"),
+    ("mass_bound", 12.0, "mass_bound"),
+    ("denominator_bound", 6.0, "denominator_bound"),
+    ("denominator_bound", True, "denominator_bound"),
+    ("dims", (2.0, 2), "dims[0]"),
+    ("dims", (2, True), "dims[1]"),
+    ("dims", (1, 2), "dims[0]"),
+    ("dims", (), "dims"),
+    ("dims", [2, 2], "dims"),
+]
+
+
+@pytest.mark.parametrize(
+    "field,value,named", NON_INTEGER_FIELDS, ids=[f"{f}={v!r}" for f, v, _ in NON_INTEGER_FIELDS]
+)
+def test_integer_fields_refuse_other_types_by_name(field, value, named):
+    # trials=True used to run one trial, seed=1.5 to seed "1.5:t", and
+    # dims=(2.0, 2) to fail only at the first trial with a bare TypeError
+    fields = {"kind": CW, "mode": Mode.LIMIT, "dims": (2, 2), field: value}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SweepConfig(**fields)
 
 
 def test_likelihood_levels_refuse_booleans():
