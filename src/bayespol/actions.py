@@ -152,6 +152,21 @@ class FamilySearchOutcome:
     sweep: Optional[FamilySweepEvidence]
 
 
+def _posterior_nums(prior: Belief, evidence: Evidence) -> tuple[list[int], int]:
+    """Unnormalized posterior numerators and their sum: ``p·ℓ`` for a
+    likelihood, ``p`` masked to the set for limit evidence."""
+    nums = prior.nums
+    if isinstance(evidence, LikelihoodFn):
+        post = list(map(mul, nums, evidence.nums))
+    else:
+        mask = evidence.mask
+        post = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
+    total = sum(post)
+    if not total:
+        raise ValueError("zero evidence probability: the evidence rules out the prior")
+    return post, total
+
+
 def _all_basis_movements_polarize(
     basis: Sequence[Sequence[Union[int, Fraction]]],
     prior_low: Belief,
@@ -161,14 +176,15 @@ def _all_basis_movements_polarize(
     """True iff every basis function's expectation strictly falls for the
     low agent and strictly rises for the high agent.
 
-    ``E_q[u] < E_p[u]`` is tested as ``Σu·q.nums · p.den < Σu·p.nums · q.den``,
-    which is exact for rational ``u`` and pure integer arithmetic when ``u``
-    has integer entries.
+    ``E_q[u] < E_p[u]`` is tested as ``Σu·q · p.den < Σu·p.nums · Σq`` on the
+    unnormalized posterior numerators ``q``, which is exact for rational
+    ``u`` and pure integer arithmetic when ``u`` has integer entries.  No
+    posterior ``Belief`` is built.
     """
-    post_low = _posterior(prior_low, evidence)
-    post_high = _posterior(prior_high, evidence)
-    pl, ql, ph, qh = prior_low.nums, post_low.nums, prior_high.nums, post_high.nums
-    pld, qld, phd, qhd = prior_low.den, post_low.den, prior_high.den, post_high.den
+    ql, qld = _posterior_nums(prior_low, evidence)
+    qh, qhd = _posterior_nums(prior_high, evidence)
+    pl, ph = prior_low.nums, prior_high.nums
+    pld, phd = prior_low.den, prior_high.den
     for u in basis:
         if sum(map(mul, u, ql)) * pld >= sum(map(mul, u, pl)) * qld:
             return False

@@ -85,6 +85,7 @@ class StateSpace:
         object.__setattr__(self, "_shape", shape)
         object.__setattr__(self, "_strides", tuple(reversed(strides)))
         object.__setattr__(self, "_size", acc)
+        object.__setattr__(self, "_full_mask", (1 << acc) - 1)
         object.__setattr__(
             self, "_states", tuple(_cartesian(*(range(n) for n in shape)))
         )
@@ -130,7 +131,7 @@ class StateSpace:
 
     @property
     def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        return self._full_mask  # type: ignore[attr-defined]
 
     def flat(self, state: State) -> int:
         for i, n in zip(state, self.shape):
@@ -177,6 +178,16 @@ class StateSpace:
             for axis, i in enumerate(state):
                 groups[axis][i].append(f)
         return tuple(tuple([tuple(g) for g in axis]) for axis in groups)
+
+    @cached_property
+    def projection_corners(self) -> tuple[int, ...]:
+        """Corner states of the projection events {state_axis >= cut},
+        axis-major and by cut: each event is its corner's up-cone."""
+        return tuple(
+            cut * stride
+            for n, stride in zip(self.shape, self.strides)
+            for cut in range(1, n)
+        )
 
     @cached_property
     def up_cones(self) -> tuple[int, ...]:
@@ -327,7 +338,7 @@ class Belief:
             )
         if self.den <= 0:
             raise ValueError("denominator must be positive")
-        if any(n < 0 for n in self.nums):
+        if min(self.nums) < 0:
             raise ValueError("negative mass")
         if sum(self.nums) != self.den:
             raise ValueError("masses do not sum to 1")
@@ -394,7 +405,7 @@ class Belief:
 
     @property
     def full_support(self) -> bool:
-        return all(n > 0 for n in self.nums)
+        return min(self.nums) > 0
 
     def support(self) -> StateSubset:
         return StateSubset.from_flats(

@@ -104,44 +104,48 @@ def _upper_set_masks(space: StateSpace, cap: int) -> tuple[int, ...]:
 
     States are processed along a linear extension from the top of the grid
     down, so a state may join only once everything strictly above it is in.
-    The walk is output-sensitive (each upper set corresponds to the up-closure
-    of its minimal antichain) and raises once more than ``cap`` sets exist.
-    It is a depth-first search on an explicit stack, leaving a state out
-    before putting it in; states that cannot join are passed over without
-    branching.
+    The walk is a depth-first search on an explicit stack, leaving a state
+    out before putting it in, and raises once more than ``cap`` sets exist.
+    Each branch carries the positions still open, as bits in that order:
+    leaving a state out closes its down-cone, which can no longer join, and
+    the next state to branch on is the lowest open position.  So every step
+    branches, and the walk is output-sensitive: a few big-int operations per
+    node of the search tree, whose leaves are the upper sets.
     """
     size = space.size
     states = space.states
     order = sorted(range(size), key=lambda f: -sum(states[f]))
-    up = space.up_cones
-    strictly_above = [up[f] ^ 1 << f for f in order]
+    position = [0] * size
+    for pos, f in enumerate(order):
+        position[f] = pos
+    down = space.down_cones
+    # Per position, the positions of the states at or below it.
+    closes = []
+    for f in order:
+        cone, bits = down[f], 0
+        while cone:
+            low = cone & -cone
+            bits |= 1 << position[low.bit_length() - 1]
+            cone ^= low
+        closes.append(bits)
+    state_bit = [1 << f for f in order]
 
     out: list[int] = []
-    stack = [(0, 0)]
+    stack = [((1 << size) - 1, 0)]
     while stack:
-        pos, mask = stack.pop()
-        while pos < size and strictly_above[pos] & ~mask:
-            pos += 1
-        if pos == size:
+        open_, mask = stack.pop()
+        if not open_:
             if len(out) >= cap:
                 raise CapExceededError(
                     f"more than {cap} upper sets on {space!r}; raise the cap"
                 )
             out.append(mask)
             continue
-        stack.append((pos + 1, mask | 1 << order[pos]))
-        stack.append((pos + 1, mask))
+        low = open_ & -open_
+        pos = low.bit_length() - 1
+        stack.append((open_ ^ low, mask | state_bit[pos]))
+        stack.append((open_ & ~closes[pos], mask))
     return tuple(out)
-
-
-def _projection_corners(space: StateSpace) -> list[int]:
-    """Corner states of the projection events {state_axis >= cut}, axis-major
-    and by cut: each event is its corner's up-cone."""
-    return [
-        cut * stride
-        for n, stride in zip(space.shape, space.strides)
-        for cut in range(1, n)
-    ]
 
 
 @lru_cache(maxsize=_FAMILY_CACHE_SIZE)
@@ -157,7 +161,7 @@ def _family_masks(
     if kind is UpperFamilyKind.UPPER_ORTHANT:
         return tuple(sorted(up[1:]))
     if kind is UpperFamilyKind.UPPER_PROJECTION:
-        return tuple(up[f] for f in _projection_corners(space))
+        return tuple(up[f] for f in space.projection_corners)
     full = space.full_mask
     return tuple(m for m in _upper_set_masks(space, cap) if 0 < m < full)
 
@@ -315,11 +319,15 @@ def _orthant_gaps(
     """Witnesses and all-events flag as in ``_upper_set_gaps``, for upper
     orthants or projections.
 
-    Each event is the up-cone of its corner state.  Suffix sums of w along
-    the cover edges, one axis at a time, give w(E) for every orthant E at
-    its corner, so one table holds every gap.  The witness is the first
-    event with the gap in ``event_family``'s order: for orthants, which are
-    listed by mask, the smallest mask.
+    ``w`` holds integer gaps ``low·hden − high·lden``, one per state, for
+    two mass vectors of integer numerators over ``lden`` and ``hden``; they
+    need not be reduced, as only the sign of each event's gap counts.  The
+    first witness is an event where the low side has more mass, the second
+    one where it has less.  Each event is the up-cone of its corner state.
+    Suffix sums of w along the cover edges, one axis at a time, give w(E)
+    for every orthant E at its corner, so one table holds every gap.  The
+    witness is the first event with the gap in ``event_family``'s order:
+    for orthants, which are listed by mask, the smallest mask.
     """
     sums = list(w)
     for f, g in space.cover_edges:
@@ -329,7 +337,7 @@ def _orthant_gaps(
         corners: Sequence[int] = range(1, space.size)
         first = min
     else:
-        corners = _projection_corners(space)
+        corners = space.projection_corners
         first = itemgetter(0)
     low_gt = [up[f] for f in corners if sums[f] > 0]
     high_gt = [up[f] for f in corners if sums[f] < 0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Optional, Union
 
 from .bayes import LikelihoodFn, limit_posterior, update
@@ -22,6 +23,7 @@ from .orders import (
     Strictness,
     StrongCwVerdict,
     UpperFamilyKind,
+    _orthant_gaps,
     compare,
     compare_strong_cw,
 )
@@ -176,22 +178,53 @@ def limit(
     return report
 
 
+def _reduced_links(
+    pl: Belief, ph: Belief, identified: StateSubset
+) -> tuple[bool, bool]:
+    """Whether ``pl|I ≤CW pl|Iᶜ`` and whether ``ph|Iᶜ ≤CW ph|I``, for a
+    proper identified set ``I``, read on the priors' integer numerators.
+
+    Each prior's numerators split by the set's mask into the part on ``I``,
+    with sum ``s_in``, and the part off it, with sum ``s_out``.  Over the
+    common denominator ``s_in·s_out`` the gap of the conditional on ``I``
+    over the one off it is ``n·s_out`` on ``I`` and ``−n·s_in`` off it, so
+    one ``_orthant_gaps`` table per prior decides its link and no
+    conditional ``Belief`` is built.
+    """
+    space = identified.space
+    mask = identified.mask
+    inside = [mask >> f & 1 for f in range(space.size)]
+    cw = UpperFamilyKind.UPPER_PROJECTION
+    low_gt, _, _ = _orthant_gaps(space, cw, _split_gaps(pl, inside))
+    _, high_gt, _ = _orthant_gaps(space, cw, _split_gaps(ph, inside))
+    return low_gt is None, high_gt is None
+
+
+def _split_gaps(prior: Belief, inside: list[int]) -> list[int]:
+    nums = prior.nums
+    s_in = sum(compress(nums, inside))
+    s_out = prior.den - s_in
+    return [n * s_out if b else -n * s_in for n, b in zip(nums, inside)]
+
+
 def _check_conditional_reduction(
     pl: Belief, ph: Belief, identified: StateSubset, report: PolarizationReport
 ) -> None:
     """Posterior-vs-prior coordinatewise dominance must match the dominance of
-    the prior's two conditionals (on the set and on its complement)."""
-    cw = UpperFamilyKind.UPPER_PROJECTION
-    complement = identified.complement()
-    low_direct = report.low_drop.weakly_below
-    low_reduced = compare(
-        report.posterior_low, pl.condition(complement), cw
-    ).weakly_below
-    high_direct = report.high_rise.weakly_below
-    high_reduced = compare(
-        ph.condition(complement), report.posterior_high, cw
-    ).weakly_below
-    if low_direct != low_reduced or high_direct != high_reduced:
+    the prior's two conditionals (on the set and on its complement).
+
+    With ``a = pl|I``, ``b = pl|Iᶜ``, ``c = ph|I`` and ``d = ph|Iᶜ``, the
+    report's ``ql ≤CW pl`` must equal ``a ≤CW b`` and its ``ph ≤CW qh`` must
+    equal ``d ≤CW c``.  The report's links come from ``compare`` on the
+    posteriors; the reduced ones from ``_reduced_links`` on the priors'
+    masked integer numerators, so the two sides share no code above
+    ``_orthant_gaps``.
+    """
+    low_reduced, high_reduced = _reduced_links(pl, ph, identified)
+    if (
+        report.low_drop.weakly_below != low_reduced
+        or report.high_rise.weakly_below != high_reduced
+    ):
         raise AssertionError(
             "internal error: conditional reduction disagrees with direct comparison"
         )

@@ -31,8 +31,9 @@ from .polarization import (
 
 _DEFAULT_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 # Exhaustive sweeps planned to run more trials than this are refused before
-# they start.  A trial takes about 80-130 us on 2x2 and 3x3 (2-vCPU VM,
-# CPython 3.11), so the budget is roughly 20 minutes of sweeping.
+# they start.  An exhaustive trial takes about 50-80 us on 2x2 and 3x3 in
+# every cell, strong coordinatewise limit included (2-vCPU VM, CPython
+# 3.11), so the budget is roughly 8 to 13 minutes of sweeping.
 EXHAUSTIVE_TRIAL_BUDGET = 10**7
 
 

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from bayespol import Belief, LikelihoodFn, StateSpace, StateSubset, limit_posterior, update
+from bayespol import (
+    Belief,
+    LikelihoodFn,
+    StateSpace,
+    StateSubset,
+    UpperFamilyKind,
+    compare,
+    limit_posterior,
+    update,
+)
 
 GRID_2X2 = StateSpace.grid(2, 2)
 GRID_2X3 = StateSpace.grid(2, 3)
@@ -101,3 +110,45 @@ def all_basis_movements_by_expectation(basis, prior_low, prior_high, evidence):
         if expectation_by_state_loop(post_high, u) <= expectation_by_state_loop(prior_high, u):
             return False
     return True
+
+
+def upper_set_masks_by_skipping(space, cap):
+    """Every upper set as a bitmask, in the enumeration's depth-first order.
+
+    The slow path the open-position walk replaced: each branch steps over the
+    states that cannot join one position at a time, testing each against its
+    strict up-cone.
+    """
+    size = space.size
+    states = space.states
+    order = sorted(range(size), key=lambda f: -sum(states[f]))
+    up = space.up_cones
+    strictly_above = [up[f] ^ 1 << f for f in order]
+    out = []
+    stack = [(0, 0)]
+    while stack:
+        pos, mask = stack.pop()
+        while pos < size and strictly_above[pos] & ~mask:
+            pos += 1
+        if pos == size:
+            if len(out) >= cap:
+                raise OverflowError(cap)
+            out.append(mask)
+            continue
+        stack.append((pos + 1, mask | 1 << order[pos]))
+        stack.append((pos + 1, mask))
+    return tuple(out)
+
+
+def reduced_links_by_compare(prior_low, prior_high, identified):
+    """``pl|I ≤CW pl|Iᶜ`` and ``ph|Iᶜ ≤CW ph|I``, as ``limit`` used to check
+    them: two complement conditionals and two full compares."""
+    cw = UpperFamilyKind.UPPER_PROJECTION
+    complement = identified.complement()
+    low = compare(
+        limit_posterior(prior_low, identified), prior_low.condition(complement), cw
+    ).weakly_below
+    high = compare(
+        prior_high.condition(complement), limit_posterior(prior_high, identified), cw
+    ).weakly_below
+    return low, high

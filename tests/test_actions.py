@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bayespol import (
+    Belief,
     LikelihoodFn,
     Mode,
     StateSpace,
@@ -215,6 +216,16 @@ def test_basis_predicate_matches_the_expectation_oracle(case):
             expected = all_basis_movements_by_expectation(funcs, low, high, evidence)
             assert _all_basis_movements_polarize(funcs, low, high, evidence) == expected
             assert _all_basis_movements_polarize(_scaled(funcs), low, high, evidence) == expected
+
+
+def test_basis_predicate_refuses_evidence_that_rules_out_a_prior():
+    # as bayes.update and limit_posterior refuse to normalize a zero total
+    corner = Belief.dirac(GRID_2X2, (0, 0))
+    top = StateSubset.from_states(GRID_2X2, [(1, 1)])
+    basis = canonical_basis(GRID_2X2, UpperFamilyKind.UPPER_PROJECTION)
+    for evidence in (top, LikelihoodFn.indicator(GRID_2X2, top)):
+        with pytest.raises(ValueError, match="zero evidence probability"):
+            _all_basis_movements_polarize(basis, MIRROR_LOW, corner, evidence)
 
 
 @pytest.mark.parametrize("mode", [Mode.ONE_SHOT, Mode.LIMIT])

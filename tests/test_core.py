@@ -61,6 +61,12 @@ def test_order_tables_match_the_coordinatewise_order(shape):
         assert groups == tuple(
             tuple(f for f, a in enumerate(states) if a[axis] == v) for v in range(shape[axis])
         )
+    assert space.projection_corners == tuple(
+        states.index(tuple(cut if k == axis else 0 for k in range(len(shape))))
+        for axis, n in enumerate(shape)
+        for cut in range(1, n)
+    )
+    assert space.full_mask == 2 ** len(states) - 1
     # the tables are cached on the instance without entering equality
     assert space == StateSpace.grid(*shape)
     assert hash(space) == hash(StateSpace.grid(*shape))
@@ -73,6 +79,38 @@ def test_belief_invariants_enforced():
         Belief.from_fractions(GRID_2X2, ["1/2", "1/2", "1/2", "-1/2"])
     b = Belief(GRID_2X2, (2, 2, 2, 2), 8)
     assert b.den == 4 and b.nums == (1, 1, 1, 1)  # canonicalized
+
+
+@pytest.mark.parametrize(
+    "nums, den, message",
+    [
+        ((1, 1, 2), 4, "expected 4 masses, got 3"),
+        ((1, 1, 1, 1, 0), 4, "expected 4 masses, got 5"),
+        ((0, 0, 0, 0), 0, "denominator must be positive"),
+        ((-1, 0, 0, 0), -1, "denominator must be positive"),
+        ((2, -1, 1, 2), 4, "negative mass"),
+        ((1, 1, 1, -1), 1, "negative mass"),
+        ((1, 1, 1, 0), 4, "masses do not sum to 1"),
+        ((1, 1, 1, 2), 4, "masses do not sum to 1"),
+    ],
+)
+def test_belief_validation_messages(nums, den, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Belief(GRID_2X2, nums, den)
+
+
+def test_subset_mask_range_and_full_support_on_a_zero_mass():
+    for mask in (-1, GRID_2X2.full_mask + 1, 1 << 9):
+        with pytest.raises(ValueError, match="^mask out of range for space$"):
+            StateSubset(GRID_2X2, mask)
+    # both ends of the range are accepted
+    assert StateSubset(GRID_2X2, 0).is_empty
+    assert len(StateSubset(GRID_2X2, GRID_2X2.full_mask)) == 4
+    for f in range(GRID_2X3.size):
+        nums = [1] * GRID_2X3.size
+        nums[f] = 0
+        assert not Belief.from_weights(GRID_2X3, nums).full_support
+    assert Belief.from_weights(GRID_2X3, [1] * 6).full_support
 
 
 def test_common_denominator_scaling():

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +23,11 @@ from bayespol import (
     leq,
 )
 from bayespol.orders import (
+    DEFAULT_UPPER_SET_CAP,
     _family_masks,
     _max_closure,
     _strong_cw_failure,
+    _upper_set_masks,
     additive_parts,
     canonical_basis,
     is_increasing,
@@ -41,6 +43,7 @@ from conftest import (
     MIRROR_LOW,
     beliefs,
     strong_cw_failure_by_state_loop,
+    upper_set_masks_by_skipping,
 )
 
 ST = UpperFamilyKind.UPPER_SET
@@ -119,6 +122,36 @@ def test_upper_set_enumeration_order_is_pinned():
     for space, digest in ((GRID_3X3, "abd3bd7582d25a16"), (GRID_2X2X2, "6e5c8beabd9afb29")):
         masks = ",".join(str(e.mask) for e in event_family(space, ST))
         assert hashlib.sha256(masks.encode()).hexdigest()[:16] == digest
+
+
+# Every shape whose sorted sides fit under 3x4x4, in every axis order, plus
+# a long 2-D grid and a 4-D one.
+_WALK_SHAPES = sorted(
+    {(n,) for n in range(2, 7)}
+    | {(a, b) for a in range(2, 5) for b in range(2, 5)}
+    | {
+        perm
+        for a in range(2, 4)
+        for b in range(a, 5)
+        for c in range(b, 5)
+        for perm in permutations((a, b, c))
+    }
+    | {(2, 60), (2, 2, 2, 2)}
+)
+
+
+@pytest.mark.parametrize("shape", _WALK_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_upper_set_walk_matches_the_skipping_walk(shape):
+    space = StateSpace.grid(*shape)
+    expected = upper_set_masks_by_skipping(space, DEFAULT_UPPER_SET_CAP)
+    assert _upper_set_masks(space, DEFAULT_UPPER_SET_CAP) == expected
+    # the cap trips at the same count
+    cap = len(expected) - 1
+    with pytest.raises(CapExceededError):
+        _upper_set_masks(space, cap)
+    with pytest.raises(OverflowError):
+        upper_set_masks_by_skipping(space, cap)
+    assert len(_upper_set_masks(space, len(expected))) == len(expected)
 
 
 def test_upper_sets_of_a_long_chain():

@@ -2,7 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayespol import (
     Belief,
@@ -16,16 +17,21 @@ from bayespol import (
     one_shot,
     posterior_increases,
 )
+from bayespol import polarization
+from bayespol.orders import DominanceVerdict, Relation
+from bayespol.polarization import _reduced_links
 
 from conftest import (
     CORNER_LIKELIHOOD,
     DIAGONAL,
     GRID_2X2,
     GRID_2X3,
+    GRID_3X3,
     MIRROR_HIGH,
     MIRROR_LOW,
     beliefs,
     likelihoods,
+    reduced_links_by_compare,
     subsets,
 )
 
@@ -124,6 +130,54 @@ def test_conditional_reduction_equivalence(prior, ident):
     assert direct == reduced
     # the built-in agreement assertion in limit() must not fire either
     limit(CW, prior, prior, ident)
+
+
+@st.composite
+def _prior_pairs(draw):
+    space = draw(st.sampled_from([GRID_2X2, GRID_2X3, GRID_3X3]))
+    return draw(beliefs(space, full_support=True)), draw(beliefs(space, full_support=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_prior_pairs())
+def test_integer_reduced_links_match_the_conditional_compares(pair):
+    pl, ph = pair
+    space = pl.space
+    seen = set()
+    for mask in range(1, space.full_mask):
+        ident = StateSubset(space, mask)
+        links = _reduced_links(pl, ph, ident)
+        assert links == reduced_links_by_compare(pl, ph, ident)
+        report = limit(CW, pl, ph, ident)
+        assert links == (report.low_drop.weakly_below, report.high_rise.weakly_below)
+        seen.add(links)
+    # every proper subset of a grid includes sets on both sides of each link
+    assert {low for low, _ in seen} == {high for _, high in seen} == {False, True}
+
+
+@pytest.mark.parametrize("link", ["low", "high"])
+def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
+    # The posterior is the only argument without full support: first in the
+    # low link's compare, second in the high link's.
+    real = polarization.compare
+
+    def flipped(low, high, kind, strictness=polarization.Strictness.ONE_EVENT):
+        verdict = real(low, high, kind, strictness)
+        posterior = low if link == "low" else high
+        if posterior.full_support:
+            return verdict
+        if verdict.weakly_below:
+            return DominanceVerdict(Relation.INCOMPARABLE, verdict.witness, verdict.witness)
+        return DominanceVerdict(Relation.EQUAL)
+
+    monkeypatch.setattr(polarization, "compare", flipped)
+    for ident in (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001)):
+        with pytest.raises(AssertionError, match="conditional reduction"):
+            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident)
+        with pytest.raises(AssertionError, match="conditional reduction"):
+            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
+    # the self-check runs only in the coordinatewise order
+    limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
 
 
 # -- direction analysis --------------------------------------------------------
