@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as _cartesian
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -20,6 +20,9 @@ RationalLike = Union[Fraction, int, str]
 
 # A state is an index vector (i_1, ..., i_d) into a StateSpace.
 State = tuple[int, ...]
+
+# Shapes whose shared ``StateSpace.grid`` instance is kept.
+_GRID_CACHE_SIZE = 64
 
 
 def frac(value: RationalLike) -> Fraction:
@@ -95,8 +98,13 @@ class StateSpace:
         return StateSpace(tuple(tuple(axis) for axis in axes))
 
     @staticmethod
+    @lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
     def grid(*shape: int) -> "StateSpace":
-        """Unit-spaced space with axes 0..n_i-1; handy when labels don't matter."""
+        """Unit-spaced space with axes 0..n_i-1; handy when labels don't matter.
+
+        One instance is shared per shape, so its cached order tables are
+        worked out once for every caller.
+        """
         return StateSpace.make([range(n) for n in shape])
 
     @property

@@ -8,13 +8,21 @@ holds strictly, so the low agent moves down and the high agent moves up while
 the priors sit strictly ordered between them.  One-shot mode updates on a
 single likelihood; limit mode conditions on an identified set.  Reports carry
 witness events and a per-state direction table so failures are debuggable.
+
+``one_shot`` and ``limit`` validate every input up front, then evaluate the
+links in chain order: ``low_drop``, the middle link, ``high_rise``.  The
+verdict stops at the first link that fails, so most misses cost one posterior
+and one ``compare``.  The report's other fields (the links the verdict did
+not reach, the high posterior and the direction table) are computed on first
+access and cached.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from functools import cached_property, partial
 from itertools import compress
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .bayes import LikelihoodFn, limit_posterior, update
 from .core import Belief, State, StateSubset
@@ -55,72 +63,131 @@ def _movement_signs(prior: Belief, posterior: Belief) -> tuple[int, ...]:
     return tuple(signs)
 
 
-@dataclass(frozen=True)
+_REPORT_FIELDS = (
+    "kind",
+    "mode",
+    "verdict",
+    "low_drop",
+    "prior_gap",
+    "high_rise",
+    "directions",
+    "strong_middle",
+    "strictness",
+    "posterior_low",
+    "posterior_high",
+    "identified_set",
+)
+
+
+def _middle_holds(prior_gap: Union[DominanceVerdict, StrongCwVerdict]) -> bool:
+    if isinstance(prior_gap, StrongCwVerdict):
+        return prior_gap.holds
+    return prior_gap.strictly_below
+
+
 class PolarizationReport:
+    """One chain's verdict, its three links and the per-state directions.
+
+    ``one_shot`` and ``limit`` make reports.  ``verdict`` is settled when the
+    report is made, link by link in chain order (``low_drop``, then
+    ``prior_gap``, then ``high_rise``), and stops at the first link that
+    fails.  ``prior_gap``, ``high_rise``, ``posterior_high`` and
+    ``directions`` are computed on first access and cached.  The report is
+    immutable; ``==``, ``hash`` and ``repr`` cover the twelve fields of
+    ``_REPORT_FIELDS``, so they force the lazy ones.
+    """
+
     kind: UpperFamilyKind
     mode: Mode
     verdict: bool
     low_drop: DominanceVerdict            # posterior_low vs prior_low
-    prior_gap: Union[DominanceVerdict, StrongCwVerdict]
-    high_rise: DominanceVerdict           # prior_high vs posterior_high
-    directions: DirectionTable
     strong_middle: bool
     strictness: Strictness
     posterior_low: Belief
-    posterior_high: Belief
-    identified_set: Optional[StateSubset] = None
+    identified_set: Optional[StateSubset]
+
+    def __init__(
+        self,
+        kind: UpperFamilyKind,
+        mode: Mode,
+        prior_low: Belief,
+        prior_high: Belief,
+        posterior_low: Belief,
+        high_posterior: Callable[[], Belief],
+        strong_middle: bool,
+        strictness: Strictness,
+        identified_set: Optional[StateSubset] = None,
+    ) -> None:
+        self.__dict__.update(
+            kind=kind,
+            mode=mode,
+            strong_middle=strong_middle,
+            strictness=strictness,
+            posterior_low=posterior_low,
+            identified_set=identified_set,
+            low_drop=compare(posterior_low, prior_low, kind, strictness),
+            _prior_low=prior_low,
+            _prior_high=prior_high,
+            _high_posterior=high_posterior,
+        )
+        self.__dict__["verdict"] = (
+            self.low_drop.strictly_below
+            and _middle_holds(self.prior_gap)
+            and self.high_rise.strictly_below
+        )
+
+    @cached_property
+    def prior_gap(self) -> Union[DominanceVerdict, StrongCwVerdict]:
+        if self.strong_middle:
+            return compare_strong_cw(self._prior_low, self._prior_high)
+        return compare(self._prior_low, self._prior_high, self.kind, self.strictness)
+
+    @cached_property
+    def posterior_high(self) -> Belief:
+        return self._high_posterior()
+
+    @cached_property
+    def high_rise(self) -> DominanceVerdict:
+        """prior_high vs posterior_high"""
+        return compare(self._prior_high, self.posterior_high, self.kind, self.strictness)
+
+    @cached_property
+    def directions(self) -> DirectionTable:
+        pl, ph = self._prior_low, self._prior_high
+        return DirectionTable(
+            pl.space.states,
+            _movement_signs(pl, self.posterior_low),
+            _movement_signs(ph, self.posterior_high),
+        )
 
     @property
     def checks(self) -> dict[str, bool]:
-        middle_ok = (
-            self.prior_gap.holds
-            if isinstance(self.prior_gap, StrongCwVerdict)
-            else self.prior_gap.strictly_below
-        )
         return {
             "low_drop": self.low_drop.strictly_below,
-            "prior_gap": middle_ok,
+            "prior_gap": _middle_holds(self.prior_gap),
             "high_rise": self.high_rise.strictly_below,
         }
 
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
 
-def _chain_report(
-    kind: UpperFamilyKind,
-    mode: Mode,
-    pl: Belief,
-    ph: Belief,
-    ql: Belief,
-    qh: Belief,
-    strong_middle: bool,
-    strictness: Strictness,
-    identified: Optional[StateSubset] = None,
-) -> PolarizationReport:
-    low_drop = compare(ql, pl, kind, strictness)
-    if strong_middle:
-        prior_gap: Union[DominanceVerdict, StrongCwVerdict] = compare_strong_cw(pl, ph)
-        middle_ok = prior_gap.holds
-    else:
-        prior_gap = compare(pl, ph, kind, strictness)
-        middle_ok = prior_gap.strictly_below
-    high_rise = compare(ph, qh, kind, strictness)
-    verdict = low_drop.strictly_below and middle_ok and high_rise.strictly_below
-    directions = DirectionTable(
-        pl.space.states, _movement_signs(pl, ql), _movement_signs(ph, qh)
-    )
-    return PolarizationReport(
-        kind=kind,
-        mode=mode,
-        verdict=verdict,
-        low_drop=low_drop,
-        prior_gap=prior_gap,
-        high_rise=high_rise,
-        directions=directions,
-        strong_middle=strong_middle,
-        strictness=strictness,
-        posterior_low=ql,
-        posterior_high=qh,
-        identified_set=identified,
-    )
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPORT_FIELDS)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def one_shot(
@@ -134,9 +201,19 @@ def one_shot(
     if not (prior_low.full_support and prior_high.full_support):
         raise ValueError("one-shot polarization requires full-support priors")
     ql = update(prior_low, ell)
-    qh = update(prior_high, ell)
-    return _chain_report(
-        kind, Mode.ONE_SHOT, prior_low, prior_high, ql, qh, False, strictness
+    # The high posterior is lazy, so check now what building it would:
+    # with both priors of full support on the likelihood's space, it exists.
+    if prior_high.space != ell.space:
+        raise ValueError("prior and likelihood live on different spaces")
+    return PolarizationReport(
+        kind,
+        Mode.ONE_SHOT,
+        prior_low,
+        prior_high,
+        ql,
+        partial(update, prior_high, ell),
+        False,
+        strictness,
     )
 
 
@@ -161,14 +238,15 @@ def limit(
     if strong_middle and kind is not UpperFamilyKind.UPPER_PROJECTION:
         raise ValueError("strong middle link is defined for the coordinatewise order")
     ql = limit_posterior(prior_low, identified)
-    qh = limit_posterior(prior_high, identified)
-    report = _chain_report(
+    if prior_high.space != identified.space:
+        raise ValueError("subset lives on a different space")
+    report = PolarizationReport(
         kind,
         Mode.LIMIT,
         prior_low,
         prior_high,
         ql,
-        qh,
+        partial(limit_posterior, prior_high, identified),
         strong_middle,
         strictness,
         identified,

@@ -31,9 +31,11 @@ from .polarization import (
 
 _DEFAULT_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 # Exhaustive sweeps planned to run more trials than this are refused before
-# they start.  An exhaustive trial takes about 50-80 us on 2x2 and 3x3 in
-# every cell, strong coordinatewise limit included (2-vCPU VM, CPython
-# 3.11), so the budget is roughly 8 to 13 minutes of sweeping.
+# they start.  An exhaustive trial takes about 17-36 us on 2x2 and 3x3 in the
+# ST, UO and CW one-shot cells, where most trials stop at the first link of
+# the chain, and 60-75 us in the CW limit cells, strong or not, whose
+# conditional-reduction self-check reads both posterior links (2-vCPU VM,
+# CPython 3.11).  So the budget is roughly 3 to 13 minutes of sweeping.
 EXHAUSTIVE_TRIAL_BUDGET = 10**7
 
 
@@ -230,7 +232,8 @@ def _random_likelihood(
     rng: random.Random, space: StateSpace, levels: tuple[Fraction, ...]
 ) -> LikelihoodFn:
     nums, den = over_common_denominator(levels)
-    picks = [nums[rng.randrange(len(nums))] for _ in range(space.size)]
+    # _draw_weights(rng, k, n) draws 1 + rng.randrange(n), k times over
+    picks = [nums[i - 1] for i in _draw_weights(rng, space.size, len(nums))]
     if not any(picks):
         picks[rng.randrange(space.size)] = den
     return LikelihoodFn(space, tuple(picks), den)

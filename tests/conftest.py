@@ -6,13 +6,16 @@ from hypothesis import strategies as st
 from bayespol import (
     Belief,
     LikelihoodFn,
+    PolarizationReport,
     StateSpace,
     StateSubset,
     UpperFamilyKind,
     compare,
+    compare_strong_cw,
     limit_posterior,
     update,
 )
+from bayespol.polarization import DirectionTable, _movement_signs
 
 GRID_2X2 = StateSpace.grid(2, 2)
 GRID_2X3 = StateSpace.grid(2, 3)
@@ -152,3 +155,38 @@ def reduced_links_by_compare(prior_low, prior_high, identified):
         prior_high.condition(complement), limit_posterior(prior_high, identified), cw
     ).weakly_below
     return low, high
+
+
+def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, identified=None):
+    """The report of the chain ``ql < pl < ph < qh``, every link up front.
+
+    The slow path the lazy report replaced: all three links and the direction
+    table are worked out before the verdict.  Every field is set on the
+    instance, so none of the report's lazy code runs.
+    """
+    low_drop = compare(ql, pl, kind, strictness)
+    if strong_middle:
+        prior_gap = compare_strong_cw(pl, ph)
+        middle_ok = prior_gap.holds
+    else:
+        prior_gap = compare(pl, ph, kind, strictness)
+        middle_ok = prior_gap.strictly_below
+    high_rise = compare(ph, qh, kind, strictness)
+    report = object.__new__(PolarizationReport)
+    report.__dict__.update(
+        kind=kind,
+        mode=mode,
+        verdict=low_drop.strictly_below and middle_ok and high_rise.strictly_below,
+        low_drop=low_drop,
+        prior_gap=prior_gap,
+        high_rise=high_rise,
+        directions=DirectionTable(
+            pl.space.states, _movement_signs(pl, ql), _movement_signs(ph, qh)
+        ),
+        strong_middle=strong_middle,
+        strictness=strictness,
+        posterior_low=ql,
+        posterior_high=qh,
+        identified_set=identified,
+    )
+    return report

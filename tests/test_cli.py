@@ -10,7 +10,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bayespol import UpperFamilyKind, UtilityFamilyKind, compare, limit
@@ -338,6 +338,8 @@ def _scalar_fields(doc):
         yield ("seed",), "seed"
 
 
+# A host stall can make one draw slow; that is no fault of the scenario code.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_docs())
 def test_fuzzed_scenarios_round_trip(doc):
     scenario = parse_scenario(doc)
@@ -348,6 +350,7 @@ def test_fuzzed_scenarios_round_trip(doc):
     assert scenario_to_doc(again) == canonical
 
 
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_docs(), st.data())
 def test_fuzzed_floats_and_bools_are_refused_by_field(doc, data):
     path, named = data.draw(st.sampled_from(list(_scalar_fields(doc))))

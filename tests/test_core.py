@@ -72,6 +72,18 @@ def test_order_tables_match_the_coordinatewise_order(shape):
     assert hash(space) == hash(StateSpace.grid(*shape))
 
 
+def test_grids_are_shared_per_shape():
+    assert StateSpace.grid(2, 3) is StateSpace.grid(2, 3)
+    assert StateSpace.grid(2, 3) is not StateSpace.grid(3, 2)
+    # a built space still equals the shared one, tables and all
+    assert StateSpace.make([range(2), range(3)]) == StateSpace.grid(2, 3)
+    # cached per argument type: a float axis size is refused as before
+    with pytest.raises(TypeError):
+        StateSpace.grid(2.0, 3)
+    info = StateSpace.grid.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
 def test_belief_invariants_enforced():
     with pytest.raises(ValueError):
         Belief(GRID_2X2, (1, 1, 1, 0), 4)  # sums to 3/4

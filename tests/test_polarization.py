@@ -17,9 +17,11 @@ from bayespol import (
     one_shot,
     posterior_increases,
 )
-from bayespol import polarization
+from bayespol import Mode, Strictness, limit_posterior, polarization, update
+from bayespol.construct import mirror_extremes_instance, mirror_extremes_threshold
 from bayespol.orders import DominanceVerdict, Relation
-from bayespol.polarization import _reduced_links
+from bayespol.polarization import _REPORT_FIELDS, _reduced_links
+from bayespol.verifier import _random_belief, _random_likelihood, _random_strong_pair
 
 from conftest import (
     CORNER_LIKELIHOOD,
@@ -30,6 +32,7 @@ from conftest import (
     MIRROR_HIGH,
     MIRROR_LOW,
     beliefs,
+    chain_report_eagerly,
     likelihoods,
     reduced_links_by_compare,
     subsets,
@@ -178,6 +181,187 @@ def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
             limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
     # the self-check runs only in the coordinatewise order
     limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+
+
+# -- lazy reports ----------------------------------------------------------------
+
+ORACLE_GRIDS = (GRID_2X2, GRID_2X3, GRID_3X3, StateSpace.grid(2, 2, 2))
+
+
+def _first_failing_link(report):
+    return next((name for name, ok in report.checks.items() if not ok), None)
+
+
+@pytest.mark.parametrize("space", ORACLE_GRIDS, ids=repr)
+def test_lazy_reports_match_the_eager_chain(space):
+    rng = random.Random(f"lazy-chain:{space!r}")
+    trials = []
+    for t in range(30):
+        # strongly ordered pairs pass the middle link far more often
+        if t % 2:
+            pl, ph = _random_strong_pair(rng, space, 12)
+        else:
+            pl, ph = _random_belief(rng, space, 12), _random_belief(rng, space, 12)
+        ell = _random_likelihood(rng, space, (F(0), F(1, 2), F(1)))
+        ident = StateSubset(space, rng.randrange(1, space.full_mask + 1))
+        trials.append((pl, ph, ell, ident))
+    # and one coordinatewise hit, in both modes
+    tilt = (1 + mirror_extremes_threshold(space)) / 2
+    hit = mirror_extremes_instance(space, tilt)
+    extremes = hit.certificate.identified_set
+    trials.append(
+        (hit.prior_low, hit.prior_high, LikelihoodFn.indicator(space, extremes), extremes)
+    )
+    outcomes = set()
+    for pl, ph, ell, ident in trials:
+        for kind in (ST, UO, CW):
+            for strictness in Strictness:
+                cases = [(Mode.ONE_SHOT, False), (Mode.LIMIT, False)]
+                if kind is CW:
+                    cases.append((Mode.LIMIT, True))
+                for mode, strong in cases:
+                    if mode is Mode.ONE_SHOT:
+                        make = lambda: one_shot(kind, pl, ph, ell, strictness)
+                        ql, qh, evidence = update(pl, ell), update(ph, ell), None
+                    else:
+                        make = lambda: limit(kind, pl, ph, ident, strong, strictness)
+                        ql, qh = limit_posterior(pl, ident), limit_posterior(ph, ident)
+                        evidence = ident
+                    eager = chain_report_eagerly(
+                        kind, mode, pl, ph, ql, qh, strong, strictness, evidence
+                    )
+                    lazy = make()
+                    # the verdict first, as a sweep reads it
+                    assert lazy.verdict == eager.verdict
+                    for name in _REPORT_FIELDS:
+                        assert getattr(lazy, name) == getattr(eager, name), name
+                    assert lazy.checks == eager.checks
+                    # fresh reports, so == and hash force the lazy fields
+                    assert make() == eager and eager == make()
+                    assert hash(make()) == hash(eager)
+                    # the hash a frozen dataclass of the twelve fields had
+                    assert hash(make()) == hash(tuple(getattr(eager, n) for n in _REPORT_FIELDS))
+                    outcomes.add(_first_failing_link(eager))
+    # the verdict stops at each link, and passes all three, somewhere
+    assert outcomes == {"low_drop", "prior_gap", "high_rise", None}
+
+
+def test_the_middle_link_alone_can_fail_the_verdict():
+    # Both outer links hold and the priors are not ordered: rare in random
+    # draws, so pinned here.
+    pl = Belief(GRID_2X2, (5, 10, 9, 9), 33)
+    ph = Belief(GRID_2X2, (9, 10, 9, 7), 35)
+    ell = LikelihoodFn(GRID_2X2, (1, 2, 2, 1), 2)
+    report = one_shot(CW, pl, ph, ell)
+    eager = chain_report_eagerly(
+        CW, Mode.ONE_SHOT, pl, ph, update(pl, ell), update(ph, ell), False,
+        Strictness.ONE_EVENT,
+    )
+    pl = Belief(GRID_2X2, (1, 6, 4, 6), 17)
+    ph = Belief(GRID_2X2, (3, 4, 3, 2), 12)
+    ident = StateSubset(GRID_2X2, 0b0110)
+    limit_report = limit(CW, pl, ph, ident)
+    limit_eager = chain_report_eagerly(
+        CW, Mode.LIMIT, pl, ph, limit_posterior(pl, ident), limit_posterior(ph, ident),
+        False, Strictness.ONE_EVENT, ident,
+    )
+    for lazy, expected in ((report, eager), (limit_report, limit_eager)):
+        assert not lazy.verdict
+        assert lazy.checks == {"low_drop": True, "prior_gap": False, "high_rise": True}
+        assert lazy == expected
+
+
+def test_a_one_shot_miss_at_the_low_link_takes_one_compare(monkeypatch):
+    real = polarization.compare
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polarization, "compare", counting)
+    report = one_shot(ST, MIRROR_LOW, MIRROR_HIGH, CORNER_LIKELIHOOD)
+    assert not report.verdict
+    assert len(calls) == 1
+    assert not report.low_drop.strictly_below
+    # the other links are still there, computed once on first access
+    assert report.checks == {"low_drop": False, "prior_gap": True, "high_rise": False}
+    report.checks
+    assert len(calls) == 3
+
+
+# same shape as GRID_2X2, other axis labels: a different space
+OTHER_2X2 = StateSpace.make([[0, 1], [0, 2]])
+FOREIGN_HIGH = Belief.from_weights(GRID_2X3, [1] * 6)
+THIN = Belief.from_fractions(GRID_2X2, ["1/2", "1/2", "0", "0"])
+# The constant likelihood and the full set leave the low prior where it is,
+# so in each case below the low link would fail first.
+CONSTANT = LikelihoodFn.from_fractions(GRID_2X2, ["1/2"] * 4)
+FULL = StateSubset.full(GRID_2X2)
+
+
+def _zero_likelihood(space):
+    # LikelihoodFn refuses an all-zero vector; build one past its checks
+    ell = object.__new__(LikelihoodFn)
+    for name, value in (("space", space), ("nums", (0,) * space.size), ("den", 1)):
+        object.__setattr__(ell, name, value)
+    return ell
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: one_shot(CW, MIRROR_LOW, FOREIGN_HIGH, CONSTANT),
+         "prior and likelihood live on different spaces"),
+        (lambda: one_shot(CW, FOREIGN_HIGH, MIRROR_HIGH, CONSTANT),
+         "prior and likelihood live on different spaces"),
+        (lambda: one_shot(ST, MIRROR_LOW, MIRROR_HIGH,
+                          LikelihoodFn.from_fractions(GRID_2X3, ["1/2"] * 6)),
+         "prior and likelihood live on different spaces"),
+        (lambda: one_shot(UO, MIRROR_LOW, MIRROR_HIGH, _zero_likelihood(GRID_2X2)),
+         "zero evidence probability"),
+        (lambda: one_shot(CW, THIN, MIRROR_HIGH, CONSTANT), "requires full-support"),
+        (lambda: one_shot(CW, MIRROR_LOW, THIN, CONSTANT), "requires full-support"),
+        (lambda: limit(CW, MIRROR_LOW, FOREIGN_HIGH, FULL),
+         "subset lives on a different space"),
+        (lambda: limit(ST, FOREIGN_HIGH, MIRROR_HIGH, FULL),
+         "subset lives on a different space"),
+        (lambda: limit(UO, MIRROR_LOW, MIRROR_HIGH, StateSubset.full(OTHER_2X2)),
+         "subset lives on a different space"),
+        (lambda: limit(CW, MIRROR_LOW, MIRROR_HIGH, StateSubset(GRID_2X2, 0)),
+         "identified set is empty"),
+        (lambda: limit(CW, THIN, MIRROR_HIGH, FULL), "requires full-support"),
+        (lambda: limit(CW, MIRROR_LOW, THIN, FULL, strong_middle=True), "requires full-support"),
+        (lambda: limit(ST, MIRROR_LOW, MIRROR_HIGH, FULL, strong_middle=True),
+         "coordinatewise order"),
+        (lambda: limit(UO, MIRROR_LOW, MIRROR_HIGH, FULL, strong_middle=True),
+         "coordinatewise order"),
+    ],
+    ids=[
+        "oneshot-mismatched-priors", "oneshot-mismatched-priors-low",
+        "oneshot-foreign-evidence", "oneshot-zero-probability-evidence",
+        "oneshot-thin-low", "oneshot-thin-high",
+        "limit-mismatched-priors", "limit-mismatched-priors-low",
+        "limit-foreign-evidence", "limit-empty-set",
+        "limit-thin-low", "limit-thin-high",
+        "limit-strong-middle-st", "limit-strong-middle-uo",
+    ],
+)
+def test_invalid_inputs_raise_before_any_link(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_reports_that_differ_only_past_the_low_link_are_unequal():
+    # the low link fails in both, so the verdict reads nothing else
+    a = one_shot(CW, MIRROR_LOW, MIRROR_HIGH, CONSTANT)
+    b = one_shot(CW, MIRROR_LOW, MIRROR_LOW, CONSTANT)
+    assert (a.verdict, a.low_drop, a.posterior_low) == (b.verdict, b.low_drop, b.posterior_low)
+    assert a != b
+    with pytest.raises(AttributeError):
+        a.verdict = True
+    with pytest.raises(AttributeError):
+        a.high_rise = a.low_drop
 
 
 # -- direction analysis --------------------------------------------------------

@@ -249,11 +249,18 @@ def _likelihood_by_fractions(rng, space, levels):
     return LikelihoodFn.from_fractions(space, values)
 
 
-@pytest.mark.parametrize(
-    "levels",
-    [(F(0), F(1, 2), F(1)), (F(0),), (F(0), F(1, 3), F(3, 4)), (F(2, 5),)],
-    ids=["default", "zero", "thirds-quarters", "one-level"],
-)
+_LEVELS = {
+    "default": (F(0), F(1, 2), F(1)),
+    "zero": (F(0),),
+    "thirds-quarters": (F(0), F(1, 3), F(3, 4)),
+    "one-level": (F(2, 5),),
+    # every level count up to 12, including powers of two, where half the
+    # bit draws are rejected; level 0 reaches the all-zero fallback draw too
+    **{f"{n}-levels": tuple(F(k, n) for k in range(n)) for n in range(2, 13)},
+}
+
+
+@pytest.mark.parametrize("levels", list(_LEVELS.values()), ids=list(_LEVELS))
 def test_random_likelihood_matches_the_fraction_path(levels):
     for space in (GRID_2X2, GRID_3X3):
         for seed in range(300):
@@ -262,6 +269,11 @@ def test_random_likelihood_matches_the_fraction_path(levels):
                 slow, space, levels
             )
             assert fast.getstate() == slow.getstate()
+
+
+def test_a_config_shares_its_grid():
+    config = SweepConfig(CW, Mode.LIMIT, (2, 3))
+    assert config.space is config.space is StateSpace.grid(2, 3)
 
 
 def test_compositions_are_every_positive_vector_in_lexicographic_order():
