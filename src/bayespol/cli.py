@@ -4,22 +4,31 @@ Scenario files are JSON.  Rationals are written as "p/q" strings end to end
 (never floats), priors are row-major mass vectors over the state grid with
 the last axis fastest, and every report echoes the state order it assumed.
 Reports are JSON documents on stdout; tabular results (trajectories, sweep
-summaries, tradeoff curves) also ship as tab-separated tables via --table.
+summaries, tradeoff curves, the possibility table, subset scans) also ship
+as tab-separated tables via --table.
+
+Each subcommand takes only the flags it reads (``_COMMANDS``); any other
+flag is a usage error that names it.  ``table`` sweeps the six order x mode
+cells, and a hit in a cell the paper proves impossible is an internal
+error.  ``scan`` classifies every proper nonempty subset of a 2-D grid and
+builds and certifies the priors of each subset that passes.
 
 Exit status: 0 on success, 1 on domain errors (including malformed scenario
 content, reported with the offending field named), 2 on usage errors.
 
 Environment overrides, mirroring the flags: BAYESPOL_SEED, BAYESPOL_TRIALS,
 BAYESPOL_DENOMINATOR_BOUND, BAYESPOL_ORDER, BAYESPOL_MODE.  All five are
-read on every ``run`` call and fill in the flags left unset, so a change
-between two calls in one process takes effect.  A malformed value is a
-usage error that names the variable, even when its flag is given.
+read on every ``run`` call and fill in the flags the subcommand has and left
+unset, so a change between two calls in one process takes effect.  A
+malformed value is a usage error that names the variable, even when its
+flag is given or the subcommand has no such flag.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -28,7 +37,7 @@ from typing import Optional, Sequence
 
 from .actions import UtilityFamilyKind, tradeoff_curve
 from .bayes import LikelihoodFn, Signal, identified_set, simulate, update
-from .classifier import classify
+from .classifier import ClassificationReport, classify
 from .construct import build_polarizing_priors
 from .core import Belief, StateSpace, StateSubset, frac
 from .orders import StrongCwVerdict, UpperFamilyKind, compare
@@ -52,6 +61,16 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 # Scenario parsing and serialization
 # ---------------------------------------------------------------------------
+
+
+def _rationals(values) -> list[str]:
+    """Rationals as "p/q" strings ("p" for integers)."""
+    return [str(v) for v in values]
+
+
+def _indices(states) -> list[list[int]]:
+    """States as index lists."""
+    return [list(s) for s in states]
 
 
 @dataclass
@@ -112,9 +131,24 @@ def _parse_states(raw, field: str, space: StateSpace) -> StateSubset:
         raise ScenarioError(f"field '{field}': {exc}") from exc
 
 
+_SCENARIO_FIELDS = (
+    "name", "dims", "seed", "prior_low", "prior_high", "likelihood", "signal",
+    "identified_set", "truth", "utility", "utility_family",
+)
+
+
 def parse_scenario(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
+    for field in doc:
+        if field not in _SCENARIO_FIELDS:
+            raise ScenarioError(
+                f"field '{field}': unknown field; expected one of {', '.join(_SCENARIO_FIELDS)}"
+            )
+    if "name" in doc and not isinstance(doc["name"], str):
+        raise ScenarioError(f"field 'name': expected a string, got {doc['name']!r}")
+    if "utility_family" in doc and "utility" not in doc:
+        raise ScenarioError("field 'utility_family': given without 'utility'")
     if "dims" not in doc:
         raise ScenarioError("field 'dims' is required")
     dims = doc["dims"]
@@ -194,33 +228,31 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def scenario_to_doc(sc: Scenario) -> dict:
     """Canonical JSON form; parse(serialize(parse(x))) == parse(x)."""
-    doc: dict = {
-        "dims": [[str(v) for v in axis] for axis in sc.space.axes],
-    }
+    doc: dict = {"dims": [_rationals(axis) for axis in sc.space.axes]}
     if sc.name is not None:
         doc["name"] = sc.name
     if sc.seed is not None:
         doc["seed"] = sc.seed
     if sc.prior_low is not None:
-        doc["prior_low"] = [str(m) for m in sc.prior_low.masses()]
+        doc["prior_low"] = _rationals(sc.prior_low.masses())
     if sc.prior_high is not None:
-        doc["prior_high"] = [str(m) for m in sc.prior_high.masses()]
+        doc["prior_high"] = _rationals(sc.prior_high.masses())
     if sc.likelihood is not None:
-        doc["likelihood"] = [str(v) for v in sc.likelihood.values()]
+        doc["likelihood"] = _rationals(sc.likelihood.values())
     if sc.signal is not None:
         doc["signal"] = {
             "realizations": list(sc.signal.realizations),
             "table": {
-                label: [str(v) for v in ell.values()]
+                label: _rationals(ell.values())
                 for label, ell in zip(sc.signal.realizations, sc.signal.table)
             },
         }
     if sc.identified is not None:
-        doc["identified_set"] = [list(s) for s in sc.identified.states()]
+        doc["identified_set"] = _indices(sc.identified.states())
     if sc.truth is not None:
         doc["truth"] = list(sc.truth)
     if sc.utility is not None:
-        doc["utility"] = [str(v) for v in sc.utility]
+        doc["utility"] = _rationals(sc.utility)
         doc["utility_family"] = sc.utility_family.value
     return doc
 
@@ -241,10 +273,6 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _states_echo(space: StateSpace) -> list[list[int]]:
-    return [list(s) for s in space.states]
-
-
 def _verdict_doc(v) -> dict:
     if isinstance(v, StrongCwVerdict):
         return {
@@ -254,9 +282,9 @@ def _verdict_doc(v) -> dict:
         }
     doc = {"relation": v.relation.value}
     if v.witness is not None:
-        doc["witness"] = [list(s) for s in v.witness.states()]
+        doc["witness"] = _indices(v.witness.states())
     if v.opposite_witness is not None:
-        doc["opposite_witness"] = [list(s) for s in v.opposite_witness.states()]
+        doc["opposite_witness"] = _indices(v.opposite_witness.states())
     return doc
 
 
@@ -271,12 +299,24 @@ def _polarization_doc(report: PolarizationReport) -> dict:
         "low_drop": _verdict_doc(report.low_drop),
         "prior_gap": _verdict_doc(report.prior_gap),
         "high_rise": _verdict_doc(report.high_rise),
-        "posterior_low": [str(m) for m in report.posterior_low.masses()],
-        "posterior_high": [str(m) for m in report.posterior_high.masses()],
+        "posterior_low": _rationals(report.posterior_low.masses()),
+        "posterior_high": _rationals(report.posterior_high.masses()),
         "directions": [
             {"state": list(s), "low": dl, "high": dh}
             for s, dl, dh in report.directions.rows()
         ],
+    }
+
+
+def _classify_doc(rep: ClassificationReport) -> dict:
+    return {
+        "spanning": rep.spanning,
+        "complement_spanning": rep.complement_spanning,
+        "biased_down": rep.biased_down,
+        "biased_up": rep.biased_up,
+        "balanced": rep.balanced,
+        "compensatory": rep.compensatory,
+        "can_strongly_polarize": rep.can_strongly_polarize,
     }
 
 
@@ -293,15 +333,36 @@ def _require(sc: Scenario, attr: str, field: str, command: str):
 
 Table = tuple[list[str], list[list[str]]]
 
+# The possibility table: each order x mode cell with the paper's verdict.
+TABLE_CELLS = (
+    ("cw", "oneshot", "possible"),
+    ("cw", "limit", "possible"),
+    ("uo", "oneshot", "possible"),
+    ("uo", "limit", "impossible"),
+    ("st", "oneshot", "impossible"),
+    ("st", "limit", "impossible"),
+)
+
+# ``scan`` refuses grids with more proper nonempty subsets than this before
+# it starts: 2^16 - 2, so every 16-state grid (4x4, 2x8) fits.  A 4x4 scan
+# classifies all 65,534 subsets and builds priors for the 37,054 that pass
+# in about 31 s, JSON report included (2-vCPU VM, CPython 3.11).
+SCAN_SUBSET_BUDGET = 2**16 - 2
+# The report fields of one scanned subset that its TSV row shows, in order.
+_SCAN_FIELDS = (
+    "spanning", "complement_spanning", "balanced", "compensatory",
+    "can_strongly_polarize", "certificate", "delta",
+)
+
 
 def _cmd_update(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ell = _require(sc, "likelihood", "likelihood", "update")
     report: dict = {}
     for field, prior in (("prior_low", sc.prior_low), ("prior_high", sc.prior_high)):
         if prior is not None:
-            report[f"posterior_{field.removeprefix('prior_')}"] = [
-                str(m) for m in update(prior, ell).masses()
-            ]
+            report[f"posterior_{field.removeprefix('prior_')}"] = _rationals(
+                update(prior, ell).masses()
+            )
     if not report:
         raise ScenarioError("field 'prior_low' is required for 'update'")
     return report, None
@@ -318,25 +379,16 @@ def _cmd_compare(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
 def _cmd_classify(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "classify")
     rep = classify(sc.space, ident)
-    return {
-        "identified_set": [list(s) for s in ident.states()],
-        "spanning": rep.spanning,
-        "complement_spanning": rep.complement_spanning,
-        "biased_down": rep.biased_down,
-        "biased_up": rep.biased_up,
-        "balanced": rep.balanced,
-        "compensatory": rep.compensatory,
-        "can_strongly_polarize": rep.can_strongly_polarize,
-    }, None
+    return {"identified_set": _indices(ident.states()), **_classify_doc(rep)}, None
 
 
 def _cmd_construct(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "construct")
     result = build_polarizing_priors(sc.space, ident)
     return {
-        "identified_set": [list(s) for s in ident.states()],
-        "prior_low": [str(m) for m in result.prior_low.masses()],
-        "prior_high": [str(m) for m in result.prior_high.masses()],
+        "identified_set": _indices(ident.states()),
+        "prior_low": _rationals(result.prior_low.masses()),
+        "prior_high": _rationals(result.prior_high.masses()),
         "epsilon": str(result.epsilon),
         "delta": str(result.delta),
         "certificate": _polarization_doc(result.certificate),
@@ -371,14 +423,14 @@ def _cmd_simulate(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ]
     rows = [
         [str(r.t), r.realization or "", str(r.tv_to_limit)]
-        + [str(m) for m in r.posterior.masses()]
+        + _rationals(r.posterior.masses())
         for r in records
     ]
     report = {
         "seed": seed,
         "horizon": args.horizon,
         "truth": list(truth),
-        "identified_set": [list(s) for s in ident.states()],
+        "identified_set": _indices(ident.states()),
         "final_tv_to_limit": str(records[-1].tv_to_limit),
         "table": rows,
     }
@@ -415,15 +467,15 @@ def _cmd_sweep(sc_unused, args) -> tuple[dict, Optional[Table]]:
         "counterexamples_found": len(report.counterexamples),
         "counterexamples": [
             {
-                "prior_low": [str(m) for m in hit.prior_low.masses()],
-                "prior_high": [str(m) for m in hit.prior_high.masses()],
+                "prior_low": _rationals(hit.prior_low.masses()),
+                "prior_high": _rationals(hit.prior_high.masses()),
                 "likelihood": (
-                    [str(v) for v in hit.likelihood.values()]
+                    _rationals(hit.likelihood.values())
                     if hit.likelihood is not None
                     else None
                 ),
                 "identified_set": (
-                    [list(s) for s in hit.identified_set.states()]
+                    _indices(hit.identified_set.states())
                     if hit.identified_set is not None
                     else None
                 ),
@@ -453,8 +505,8 @@ def _cmd_tradeoff(sc_unused, args) -> tuple[dict, Optional[Table]]:
                 "delta": str(r.delta),
                 "magnitude": str(r.magnitude),
                 "prob_identified": str(r.prob_identified),
-                "posterior_low": [str(m) for m in r.posterior_low.masses()],
-                "posterior_high": [str(m) for m in r.posterior_high.masses()],
+                "posterior_low": _rationals(r.posterior_low.masses()),
+                "posterior_high": _rationals(r.posterior_high.masses()),
             }
             for r in rows
         ],
@@ -463,18 +515,68 @@ def _cmd_tradeoff(sc_unused, args) -> tuple[dict, Optional[Table]]:
     return doc, (header, table)
 
 
-_HANDLERS = {
-    "update": _cmd_update,
-    "compare": _cmd_compare,
-    "classify": _cmd_classify,
-    "construct": _cmd_construct,
-    "polarize": _cmd_polarize,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "tradeoff": _cmd_tradeoff,
-}
+def _cmd_table(sc_unused, args) -> tuple[dict, Optional[Table]]:
+    seed = args.seed if args.seed is not None else 0
+    header = ["order", "mode", "expected", "trials", "hits", "elapsed_s"]
+    cells, wrong = [], []
+    for order, mode, expected in TABLE_CELLS:
+        config = SweepConfig(
+            _ORDER_BY_FLAG[order], _MODE_BY_FLAG[mode], args.dims, args.trials, seed
+        )
+        report = sweep(config)
+        hits = len(report.counterexamples)
+        if hits and expected == "impossible":
+            wrong.append(f"{order} {mode} ({hits} of {report.trials_run} trials)")
+        cells.append({
+            "order": order, "mode": mode, "expected": expected,
+            "trials": report.trials_run, "hits": hits, "elapsed_s": report.elapsed,
+        })
+    rows = [
+        [c["order"], c["mode"], c["expected"], str(c["trials"]), str(c["hits"]),
+         f"{c['elapsed_s']:.3f}"]
+        for c in cells
+    ]
+    if wrong:
+        raise RuntimeError(
+            f"internal error: counterexamples in cells proved impossible: {', '.join(wrong)};"
+            " replay them with 'bayespol sweep' and the same --dims, --trials and --seed"
+        )
+    return {"dims": list(args.dims), "seed": seed, "cells": cells}, (header, rows)
 
-_NEEDS_SCENARIO = {"update", "compare", "classify", "construct", "polarize", "simulate"}
+
+def _cmd_scan(sc_unused, args) -> tuple[dict, Optional[Table]]:
+    dims = args.dims
+    n = math.prod(dims)
+    # a cap on n first, so an absurd grid is refused without building 2^n
+    if n > 64 or 2**n - 2 > SCAN_SUBSET_BUDGET:
+        count = f"{2**n - 2:,}" if n <= 64 else f"2^{n} - 2"
+        raise ValueError(
+            f"dims {'x'.join(map(str, dims))} has {count} proper nonempty subsets to"
+            f" scan, over the budget of {SCAN_SUBSET_BUDGET:,}"
+        )
+    space = StateSpace.grid(*dims)
+    header = ["subset", "spanning", "complement_spanning", "balanced", "compensatory",
+              "passes", "certificate", "delta"]
+    subsets, rows = [], []
+    for mask in range(1, space.full_mask):
+        subset = StateSubset(space, mask)
+        rep = classify(space, subset)
+        doc = {"identified_set": _indices(subset.states()), **_classify_doc(rep)}
+        doc["certificate"] = doc["delta"] = None
+        if rep.can_strongly_polarize:
+            result = build_polarizing_priors(space, subset)
+            doc["certificate"] = result.certificate.verdict
+            doc["delta"] = str(result.delta)
+        subsets.append(doc)
+        label = ";".join("".join(map(str, s)) for s in subset.states())
+        rows.append([label] + ["" if doc[k] is None else str(doc[k]) for k in _SCAN_FIELDS])
+    passing = sum(doc["can_strongly_polarize"] for doc in subsets)
+    return {"dims": list(dims), "passing": passing, "subsets": subsets}, (header, rows)
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing
+# ---------------------------------------------------------------------------
 
 
 def _env(parser: argparse.ArgumentParser, name: str, cast, fallback, choices=None):
@@ -513,51 +615,78 @@ def _deltas_arg(raw: str) -> list[Fraction]:
         ) from None
 
 
+def _positive_int_arg(raw: str) -> int:
+    """``--grid``: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+    return value
+
+
+# Every flag, by name.  The flags that BAYESPOL_* variables back default to
+# None, and ``run`` fills them in (``_ENV_FLAGS``).
+_FLAGS = {
+    "--order": dict(
+        choices=tuple(_ORDER_BY_FLAG),
+        help="stochastic order: upper sets, upper orthants, or coordinatewise",
+    ),
+    "--mode": dict(choices=tuple(_MODE_BY_FLAG)),
+    "--seed": dict(type=int),
+    "--trials": dict(type=int),
+    "--denominator-bound": dict(
+        type=int, help="exhaustive prior grid with this common denominator"
+    ),
+    "--dims": dict(
+        type=_dims_arg, default="2x2", help="state space shape, e.g. 3x3 or 2x2x2"
+    ),
+    "--horizon": dict(type=int, default=100),
+    "--deltas": dict(
+        type=_deltas_arg, help="comma-separated rationals, e.g. 1/10,1/4"
+    ),
+    "--grid": dict(type=_positive_int_arg, default=9, help="use deltas k/(grid+1)"),
+    "--table": dict(help="also write the tabular output to this TSV file"),
+    "--out": dict(help="write the JSON report here instead of stdout"),
+}
+
+# Each subcommand: its handler, whether it reads a scenario file, the flags
+# it reads (in help order), and its help line.  The parser is built from
+# this table alone, so a flag a handler does not read is a usage error.
+_COMMANDS = {
+    "update": (_cmd_update, True, ("--out",), "posteriors after one likelihood"),
+    "compare": (_cmd_compare, True, ("--order", "--out"), "order the two priors"),
+    "classify": (_cmd_classify, True, ("--out",), "can the identified set polarize? (2-D)"),
+    "construct": (_cmd_construct, True, ("--out",), "build certified polarizing priors"),
+    "polarize": (_cmd_polarize, True, ("--order", "--mode", "--out"), "the polarization chain"),
+    "simulate": (_cmd_simulate, True, ("--seed", "--horizon", "--table", "--out"),
+                 "a seeded posterior trajectory"),
+    "sweep": (_cmd_sweep, False, ("--order", "--mode", "--seed", "--trials",
+                                  "--denominator-bound", "--dims", "--table", "--out"),
+              "seeded or exhaustive counterexample search in one cell"),
+    "tradeoff": (_cmd_tradeoff, False, ("--deltas", "--grid", "--table", "--out"),
+                 "magnitude against probability on the 2x2 diagonal"),
+    "table": (_cmd_table, False, ("--dims", "--trials", "--seed", "--table", "--out"),
+              "sweep all six order x mode cells"),
+    "scan": (_cmd_scan, False, ("--dims", "--table", "--out"),
+             "classify every subset of a 2-D grid and build the passing ones"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser.  It does not read the environment: the flags
-    that ``BAYESPOL_*`` variables back default to None, and ``run`` fills
-    them in (``_ENV_FLAGS``)."""
+    """The argument parser.  It does not read the environment."""
     parser = argparse.ArgumentParser(
         prog="bayespol",
         description="Exact-arithmetic belief polarization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, scenario: bool):
+    for name, (_, scenario, flags, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary, description=summary)
         if scenario:
             p.add_argument("scenario", help="path to a JSON scenario file")
-        p.add_argument(
-            "--order",
-            choices=tuple(_ORDER_BY_FLAG),
-            help="stochastic order: upper sets, upper orthants, or coordinatewise",
-        )
-        p.add_argument("--mode", choices=tuple(_MODE_BY_FLAG))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--trials", type=int)
-        p.add_argument(
-            "--denominator-bound",
-            type=int,
-            help="exhaustive prior grid with this common denominator",
-        )
-        p.add_argument("--table", help="also write the tabular output to this TSV file")
-        p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-    for name in ("update", "compare", "classify", "construct", "polarize"):
-        common(sub.add_parser(name), scenario=True)
-    sim = sub.add_parser("simulate")
-    common(sim, scenario=True)
-    sim.add_argument("--horizon", type=int, default=100)
-    sw = sub.add_parser("sweep")
-    common(sw, scenario=False)
-    sw.add_argument(
-        "--dims", type=_dims_arg, default="2x2", help="state space shape, e.g. 3x3 or 2x2x2"
-    )
-    tr = sub.add_parser("tradeoff")
-    common(tr, scenario=False)
-    tr.add_argument(
-        "--deltas", type=_deltas_arg, help="comma-separated rationals, e.g. 1/10,1/4"
-    )
-    tr.add_argument("--grid", type=int, default=9, help="use deltas k/(grid+1)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -580,22 +709,20 @@ _ENV_FLAGS = (
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    # Every variable is read, even behind a given flag, so a malformed one
-    # is always a usage error.
+    # Every variable is read, even behind a given flag or for a subcommand
+    # without that flag, so a malformed one is always a usage error.
     for attr, name, cast, fallback, choices in _ENV_FLAGS:
         value = _env(parser, name, cast, fallback, choices)
-        if getattr(args, attr) is None:
+        if getattr(args, attr, False) is None:
             setattr(args, attr, value)
     try:
-        scenario = None
-        if args.command in _NEEDS_SCENARIO:
-            scenario = load_scenario(args.scenario)
-        report, table = _HANDLERS[args.command](scenario, args)
+        scenario = load_scenario(args.scenario) if hasattr(args, "scenario") else None
+        report, table = _COMMANDS[args.command][0](scenario, args)
         doc = {"command": args.command}
         if scenario is not None:
             if scenario.name:
                 doc["scenario"] = scenario.name
-            doc["states"] = _states_echo(scenario.space)
+            doc["states"] = _indices(scenario.space.states)
         doc.update(report)
         rendered = json.dumps(doc, indent=2)
         if args.out:

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import math
@@ -13,7 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bayespol import UpperFamilyKind, UtilityFamilyKind, compare, limit
+from bayespol import (
+    StateSpace,
+    StateSubset,
+    UpperFamilyKind,
+    UtilityFamilyKind,
+    classify,
+    compare,
+    limit,
+)
+from bayespol import cli
 from bayespol.cli import (
     ScenarioError,
     build_parser,
@@ -442,3 +452,207 @@ def test_closed_reader_exits_without_a_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+# -- one flag set per subcommand ---------------------------------------------------
+
+SUBCOMMAND_FLAGS = {
+    "update": {"--out"},
+    "compare": {"--order", "--out"},
+    "classify": {"--out"},
+    "construct": {"--out"},
+    "polarize": {"--order", "--mode", "--out"},
+    "simulate": {"--seed", "--horizon", "--table", "--out"},
+    "sweep": {"--order", "--mode", "--seed", "--trials", "--denominator-bound",
+              "--dims", "--table", "--out"},
+    "tradeoff": {"--deltas", "--grid", "--table", "--out"},
+    "table": {"--dims", "--trials", "--seed", "--table", "--out"},
+    "scan": {"--dims", "--table", "--out"},
+}
+SCENARIO_COMMANDS = {"update", "compare", "classify", "construct", "polarize", "simulate"}
+ALL_FLAGS = sorted(set().union(*SUBCOMMAND_FLAGS.values()))
+
+
+def _subparsers():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_subcommand_declares_exactly_the_flags_it_reads():
+    subparsers = _subparsers()
+    assert set(subparsers) == set(SUBCOMMAND_FLAGS)
+    for name, sub in subparsers.items():
+        flags = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        positionals = [a.dest for a in sub._actions if not a.option_strings]
+        assert flags == SUBCOMMAND_FLAGS[name], name
+        assert positionals == (["scenario"] if name in SCENARIO_COMMANDS else []), name
+    old = [n for n in SUBCOMMAND_FLAGS if n not in ("table", "scan")]
+    assert sum(len(SUBCOMMAND_FLAGS[n]) for n in old) == 24
+
+
+def _flag_value(flag, tmp_path):
+    return {
+        "--order": "st", "--mode": "limit", "--seed": "1", "--trials": "1",
+        "--denominator-bound": "5", "--dims": "2x2", "--horizon": "3",
+        "--deltas": "1/2", "--grid": "2", "--table": str(tmp_path / "t.tsv"),
+        "--out": str(tmp_path / "o.json"),
+    }[flag]
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c, flags in SUBCOMMAND_FLAGS.items() for f in ALL_FLAGS if f not in flags],
+)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(
+    command, flag, mirror_scenario, tmp_path, capsys, no_env
+):
+    argv = [command] + ([mirror_scenario] if command in SCENARIO_COMMANDS else [])
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [flag, _flag_value(flag, tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [tmp_path / "mirror.json"]
+
+
+def test_malformed_env_is_a_usage_error_without_its_flag(mirror_scenario, capsys, no_env):
+    no_env.setenv("BAYESPOL_TRIALS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", mirror_scenario])
+    assert exc.value.code == 2
+    assert "BAYESPOL_TRIALS" in capsys.readouterr().err
+
+
+def test_env_fills_only_the_flags_a_subcommand_has(mirror_scenario, capsys, no_env):
+    for var, value in ENV_VARS.items():
+        no_env.setenv(var, value)
+    code, doc = _run_json(capsys, ["classify", mirror_scenario])
+    assert code == 0 and doc["can_strongly_polarize"] is True
+    code, doc = _run_json(capsys, ["polarize", mirror_scenario])
+    assert (code, doc["order"], doc["mode"]) == (0, "st", "oneshot")
+    code, doc = _run_json(capsys, ["table", "--dims", "2x2"])
+    assert code == 0 and doc["seed"] == 5
+    assert [c["trials"] for c in doc["cells"]] == [9] * 6
+
+
+@pytest.mark.parametrize("grid", ["0", "-3", "two"])
+def test_tradeoff_grid_below_one_is_a_usage_error(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tradeoff", "--grid", grid])
+    assert exc.value.code == 2
+    assert "argument --grid" in capsys.readouterr().err
+
+
+# -- strict scenario fields ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({**MIRROR_DOC, "prior_lwo": MIRROR_DOC["prior_low"]}, "prior_lwo"),
+        ({**MIRROR_DOC, "Truth": [0, 0]}, "Truth"),
+        ({**MIRROR_DOC, "name": 5}, "name"),
+        ({**MIRROR_DOC, "name": None}, "name"),
+        ({**MIRROR_DOC, "utility_family": "sums"}, "utility_family"),
+    ],
+)
+def test_unknown_fields_and_a_non_string_name_are_refused(doc, named):
+    with pytest.raises(ScenarioError, match=re.escape(f"'{named}'")):
+        parse_scenario(doc)
+
+
+def test_a_misspelt_field_is_named_by_the_cli(tmp_path, capsys):
+    doc = {k: v for k, v in MIRROR_DOC.items() if k != "prior_low"}
+    doc["prior_lwo"] = MIRROR_DOC["prior_low"]
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(doc))
+    assert run(["compare", str(path), "--order", "cw"]) == 1
+    assert "'prior_lwo'" in json.loads(capsys.readouterr().err)["error"]
+
+
+# -- bayespol scan -------------------------------------------------------------------
+
+
+def test_scan_classifies_every_subset_and_certifies_the_passing_ones(tmp_path, capsys):
+    tsv = tmp_path / "scan.tsv"
+    code, doc = _run_json(capsys, ["scan", "--dims", "2x3", "--table", str(tsv)])
+    assert code == 0
+    space = StateSpace.grid(2, 3)
+    rows = doc["subsets"]
+    assert len(rows) == 62
+    assert doc["passing"] == 7 == sum(r["can_strongly_polarize"] for r in rows)
+    for row in rows:
+        subset = StateSubset.from_states(space, [tuple(s) for s in row["identified_set"]])
+        rep = classify(space, subset)
+        for field in ("spanning", "complement_spanning", "biased_down", "biased_up",
+                      "balanced", "compensatory", "can_strongly_polarize"):
+            assert row[field] == getattr(rep, field), (row["identified_set"], field)
+        if rep.can_strongly_polarize:
+            assert row["certificate"] is True
+            assert F(row["delta"]) > 0
+        else:
+            assert row["certificate"] is None and row["delta"] is None
+    lines = tsv.read_text().splitlines()
+    assert lines[0].split("\t") == [
+        "subset", "spanning", "complement_spanning", "balanced", "compensatory",
+        "passes", "certificate", "delta",
+    ]
+    assert len(lines) == 63
+    assert sum(line.split("\t")[6] == "True" for line in lines[1:]) == 7
+
+
+def test_scan_refuses_a_grid_that_is_not_two_dimensional(capsys):
+    assert run(["scan", "--dims", "2x2x2"]) == 1
+    assert "two dimensions" in json.loads(capsys.readouterr().err)["error"]
+
+
+def _no_classify(space, subset):
+    raise ValueError("classify reached")
+
+
+def test_over_budget_scan_exits_at_once_with_the_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "classify", _no_classify)
+    assert run(["scan", "--dims", "4x5"]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "dims 4x5" in error
+    assert f"{2**20 - 2:,}" in error
+    # 4x4's 65,534 subsets are within the budget: the scan gets to classify
+    assert run(["scan", "--dims", "4x4"]) == 1
+    assert "classify reached" in capsys.readouterr().err
+
+
+# -- bayespol table ------------------------------------------------------------------
+
+
+def test_table_sweeps_the_six_cells_reproducibly(tmp_path, capsys, no_env):
+    tsv = tmp_path / "table.tsv"
+    argv = ["table", "--dims", "2x2", "--trials", "300", "--table", str(tsv)]
+    docs, tables = [], []
+    for _ in range(2):
+        code, doc = _run_json(capsys, argv)
+        assert code == 0
+        for cell in doc["cells"]:
+            cell.pop("elapsed_s")
+        docs.append(doc)
+        tables.append([line.split("\t")[:-1] for line in tsv.read_text().splitlines()])
+    assert docs[0] == docs[1] and tables[0] == tables[1]
+    cells = docs[0]["cells"]
+    assert [(c["order"], c["mode"]) for c in cells] == [
+        (o, m) for o in ("cw", "uo", "st") for m in ("oneshot", "limit")
+    ]
+    assert all(c["trials"] == 300 for c in cells)
+    assert [c["hits"] for c in cells if c["expected"] == "impossible"] == [0, 0, 0]
+    assert [c["expected"] for c in cells].count("impossible") == 3
+    assert tables[0][0] == ["order", "mode", "expected", "trials", "hits"]
+    assert len(tables[0]) == 7
+
+
+def test_a_hit_in_an_impossible_cell_is_an_internal_error(capsys, monkeypatch, no_env):
+    # seed 0 finds a CW one-shot instance on 2x2 in 300 trials; declare the
+    # cell impossible and the table must refuse the result
+    cells = [(o, m, "impossible") for o, m, _ in cli.TABLE_CELLS]
+    monkeypatch.setattr(cli, "TABLE_CELLS", cells)
+    assert run(["table", "--dims", "2x2", "--trials", "300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cw oneshot (1 of 300 trials)" in json.loads(captured.err)["error"]
