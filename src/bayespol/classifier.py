@@ -52,15 +52,9 @@ def max_set(subset: StateSubset) -> StateSubset:
 
 def is_spanning(subset: StateSubset) -> bool:
     """Attains the lowest and highest value on every coordinate."""
-    space = subset.space
-    for axis in range(space.ndim):
-        hit_min = hit_max = False
-        for state in subset.states():
-            if state[axis] == 0:
-                hit_min = True
-            if state[axis] == space.shape[axis] - 1:
-                hit_max = True
-        if not (hit_min and hit_max):
+    mask = subset.mask
+    for lowest, highest in subset.space.axis_extremes:
+        if not (mask & lowest and mask & highest):
             return False
     return True
 
@@ -209,10 +203,10 @@ def antichain_dominates(
 
     if not low.isdisjoint(high):
         return AntichainDominance(False, "disjoint")
-    for axis in range(2):
-        if not any(s[axis] == 0 for s in low.states()):
+    for axis, (lowest, highest) in enumerate(space.axis_extremes):
+        if not low.mask & lowest:
             return AntichainDominance(False, f"low misses minimal value on axis {axis}")
-        if not any(s[axis] == space.shape[axis] - 1 for s in high.states()):
+        if not high.mask & highest:
             return AntichainDominance(False, f"high misses maximal value on axis {axis}")
     pivot = compensatory_pivot(low.union(high))
     if pivot is not None:

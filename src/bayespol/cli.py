@@ -8,10 +8,12 @@ summaries, tradeoff curves, the possibility table, subset scans) also ship
 as tab-separated tables via --table.
 
 Each subcommand takes only the flags it reads (``_COMMANDS``); any other
-flag is a usage error that names it.  ``table`` sweeps the six order x mode
-cells, and a hit in a cell the paper proves impossible is an internal
-error.  ``scan`` classifies every proper nonempty subset of a 2-D grid and
-builds and certifies the priors of each subset that passes.
+flag is a usage error that names it, under the subcommand's own usage line.
+``table`` sweeps the six order x mode cells, and a hit in a cell the paper
+proves impossible is an internal error.  ``scan`` classifies every proper
+nonempty subset of a 2-D grid and builds and certifies the priors of each
+subset that passes; ``scan``, ``classify`` and ``construct`` refuse a grid
+that is not two-dimensional, where the characterization is not proven.
 
 Exit status: 0 on success, 1 on domain errors (including malformed scenario
 content, reported with the offending field named), 2 on usage errors.
@@ -376,14 +378,26 @@ def _cmd_compare(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     return {"order": args.order, **_verdict_doc(verdict)}, None
 
 
+def _require_2d(shape: tuple[int, ...], command: str) -> None:
+    """Refuse a grid outside the proven characterization, naming its dims."""
+    if len(shape) != 2:
+        raise ValueError(
+            f"dims {'x'.join(map(str, shape))} is a {len(shape)}-dimensional grid: the"
+            " characterization is proven for two-dimensional grids, so"
+            f" '{command}' takes two dimensions only"
+        )
+
+
 def _cmd_classify(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "classify")
+    _require_2d(sc.space.shape, "classify")
     rep = classify(sc.space, ident)
     return {"identified_set": _indices(ident.states()), **_classify_doc(rep)}, None
 
 
 def _cmd_construct(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "construct")
+    _require_2d(sc.space.shape, "construct")
     result = build_polarizing_priors(sc.space, ident)
     return {
         "identified_set": _indices(ident.states()),
@@ -546,6 +560,7 @@ def _cmd_table(sc_unused, args) -> tuple[dict, Optional[Table]]:
 
 def _cmd_scan(sc_unused, args) -> tuple[dict, Optional[Table]]:
     dims = args.dims
+    _require_2d(dims, "scan")
     n = math.prod(dims)
     # a cap on n first, so an absurd grid is refused without building 2^n
     if n > 64 or 2**n - 2 > SCAN_SUBSET_BUDGET:
@@ -674,13 +689,28 @@ _COMMANDS = {
 }
 
 
+class _RootParser(argparse.ArgumentParser):
+    """Reports a subcommand's unrecognized arguments through that
+    subcommand's own parser, so the usage line shows the flags it takes."""
+
+    commands: dict[str, argparse.ArgumentParser]
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            chosen = self.commands.get(getattr(parsed, "command", None), self)
+            chosen.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser.  It does not read the environment."""
-    parser = argparse.ArgumentParser(
+    parser = _RootParser(
         prog="bayespol",
         description="Exact-arithmetic belief polarization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for name, (_, scenario, flags, summary) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary, description=summary)
         if scenario:

@@ -6,7 +6,10 @@ recursing on the grid (peel the high antichain's extreme element, shrink the
 grid, mix a small Dirac back in).  ``build_polarizing_priors`` assembles full
 polarizing priors for any identified set passing the classifier, then
 verifies the result with exact comparators rather than trusting the algebra.
-Masses are integer weights over one denominator throughout, as in ``Belief``.
+Masses are integer weights over one denominator throughout, as in ``Belief``;
+the polarizing priors' mixing weight runs over delta = 1/d for powers of two
+d, so its search and the layer weights (d - 1)^a d^(2 - a - b) / d^2 are
+integer arithmetic as well.
 ``mirror_extremes_instance`` and ``one_shot_orthant_instance`` produce the
 two closed-form instance families: mirror-image priors identified on the two
 extreme states (limit, coordinatewise), and concentrated priors with a
@@ -14,17 +17,19 @@ two-point likelihood (one-shot, upper orthant).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bayes import LikelihoodFn
 from .classifier import antichain_dominates, classify, max_set, min_set
-from .core import Belief, State, StateSpace, StateSubset, frac, leq, mixture
+from .core import Belief, State, StateSpace, StateSubset, frac, leq
 from .orders import Relation, Strictness, UpperFamilyKind, compare, compare_strong_cw
 from .polarization import PolarizationReport, limit, one_shot
 
-_MIN_DELTA = Fraction(1, 2**64)
+# The delta search tries delta = 1/d for d = 2, 4, ..., up to this cap.
+_MAX_DELTA_INVERSE = 2**64
 
 # Masses on named states as integer weights over one positive denominator.
 Massmap = tuple[dict[State, int], int]
@@ -263,18 +268,19 @@ def _strong_ok(space: StateSpace, low: Massmap, high: Massmap) -> bool:
 
 
 def _conditional_pieces(
-    space: StateSpace, identified: StateSubset
+    space: StateSpace,
+    a_set: StateSubset,
+    b_set: StateSubset,
+    c_set: StateSubset,
+    d_set: StateSubset,
 ) -> tuple[Belief, Belief, Belief, Belief, Fraction]:
     """The four antichain distributions of the layered-prior construction.
 
-    Returns (low on min set, high on max set, low on complement's max set,
-    high on complement's min set) plus half the minimal cdf gap across the
-    three strong relations that must hold among them.
+    Takes the identified set's min and max antichains (``a_set``, ``b_set``)
+    and its complement's max and min antichains (``c_set``, ``d_set``).
+    Returns (low on a, high on b, low on c, high on d) plus half the minimal
+    cdf gap across the three strong relations that must hold among them.
     """
-    complement = identified.complement()
-    a_set, b_set = min_set(identified), max_set(identified)
-    c_set, d_set = max_set(complement), min_set(complement)
-
     for pair in ((a_set, b_set), (a_set, c_set), (d_set, b_set)):
         verdict = antichain_dominates(space, *pair)
         if not verdict.holds:
@@ -301,11 +307,10 @@ def _conditional_pieces(
         )
         a_m, b_m, c_m, d_m = solved["a"], solved["b"], solved["c"], solved["d"]
 
-    box = (space.bottom, space.top)
     gap = min(
-        _box_cdf_gap(a_m, b_m, box),
-        _box_cdf_gap(a_m, c_m, box),
-        _box_cdf_gap(d_m, b_m, box),
+        _box_cdf_gap(a_m, b_m, full_box),
+        _box_cdf_gap(a_m, c_m, full_box),
+        _box_cdf_gap(d_m, b_m, full_box),
     )
     if gap <= 0:
         raise AssertionError("internal error: nonpositive strong-dominance gap")
@@ -341,10 +346,22 @@ def _layers(
     return parts
 
 
-def _layered_prior(parts: list[tuple[int, int, Belief]], delta: Fraction) -> Belief:
-    return mixture(
-        [(1 - delta) ** a * delta**b for a, b, _ in parts], [p for _, _, p in parts]
-    )
+def _layered_prior(
+    space: StateSpace, parts: list[tuple[int, int, Belief]], d: int
+) -> Belief:
+    """The parts mixed at delta = 1/d, in integers.
+
+    Part (a, b) weighs (1 - 1/d)^a (1/d)^b = (d - 1)^a d^(2 - a - b) / d^2,
+    since a + b <= 2.  Every part is scaled onto the lcm of the part
+    denominators; the weights' numerators sum to d^2, which ``Belief``
+    checks through its masses summing to the denominator.
+    """
+    lcm = math.lcm(*[part.den for _, _, part in parts])
+    nums = [0] * space.size
+    for a, b, part in parts:
+        scale = (d - 1) ** a * d ** (2 - a - b) * (lcm // part.den)
+        nums = [x + scale * n for x, n in zip(nums, part.nums)]
+    return Belief(space, tuple(nums), d * d * lcm)
 
 
 def build_polarizing_priors(
@@ -353,8 +370,11 @@ def build_polarizing_priors(
     """Priors exhibiting strong coordinatewise limit polarization on a set.
 
     The identified set must pass the classifier.  Layer weights follow a
-    halving search on delta, accepting only when the assembled priors pass
-    the exact polarization certificate.
+    halving search on delta = 1/d over d = 2, 4, ..., 2^64.  With epsilon =
+    p/q, the two mixing inequalities read (d - 1) p > q and
+    (d - 1)^2 p > (2d - 1) q, and the layer weights are integers over d^2,
+    so the search and the mixtures run on integers.  A delta is accepted
+    only when the assembled priors pass the exact polarization certificate.
     """
     report = classify(space, identified)
     if not report.can_strongly_polarize:
@@ -364,32 +384,32 @@ def build_polarizing_priors(
             f"balanced={report.balanced}, compensatory={report.compensatory}"
         )
     complement = identified.complement()
+    low_min, high_max = min_set(identified), max_set(identified)
+    comp_max, comp_min = max_set(complement), min_set(complement)
     low_core, high_core, low_comp, high_comp, epsilon = _conditional_pieces(
-        space, identified
+        space, low_min, high_max, comp_max, comp_min
     )
     low_parts = _layers(
         space,
         low_core,
-        identified.difference(min_set(identified)),
+        identified.difference(low_min),
         low_comp,
-        complement.difference(max_set(complement)),
+        complement.difference(comp_max),
     )
     high_parts = _layers(
         space,
         high_core,
-        identified.difference(max_set(identified)),
+        identified.difference(high_max),
         high_comp,
-        complement.difference(min_set(complement)),
+        complement.difference(comp_min),
     )
 
-    delta = Fraction(1, 2)
-    while delta >= _MIN_DELTA:
-        inequalities_hold = (1 - delta) * epsilon > delta and (
-            (1 - delta) ** 2 * epsilon > (1 - delta) * 2 * delta + delta**2
-        )
-        if inequalities_hold:
-            prior_low = _layered_prior(low_parts, delta)
-            prior_high = _layered_prior(high_parts, delta)
+    p, q = epsilon.numerator, epsilon.denominator
+    d = 2
+    while d <= _MAX_DELTA_INVERSE:
+        if (d - 1) * p > q and (d - 1) ** 2 * p > (2 * d - 1) * q:
+            prior_low = _layered_prior(space, low_parts, d)
+            prior_high = _layered_prior(space, high_parts, d)
             certificate = limit(
                 UpperFamilyKind.UPPER_PROJECTION,
                 prior_low,
@@ -403,9 +423,9 @@ def build_polarizing_priors(
                     prior_high=prior_high,
                     certificate=certificate,
                     epsilon=epsilon,
-                    delta=delta,
+                    delta=Fraction(1, d),
                 )
-        delta /= 2
+        d *= 2
     raise RuntimeError(
         "delta search exhausted below 2**-64; this indicates a construction bug"
     )

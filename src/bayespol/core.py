@@ -188,6 +188,15 @@ class StateSpace:
         return tuple(tuple([tuple(g) for g in axis]) for axis in groups)
 
     @cached_property
+    def axis_extremes(self) -> tuple[tuple[int, int], ...]:
+        """Per axis, the bitmasks of the states at its lowest and at its
+        highest value: ``axis_groups[axis][0]`` and ``[-1]`` as masks."""
+        return tuple(
+            (sum(1 << f for f in groups[0]), sum(1 << f for f in groups[-1]))
+            for groups in self.axis_groups
+        )
+
+    @cached_property
     def projection_corners(self) -> tuple[int, ...]:
         """Corner states of the projection events {state_axis >= cut},
         axis-major and by cut: each event is its corner's up-cone."""

@@ -13,7 +13,7 @@ from bayespol import (
     max_set,
     min_set,
 )
-from bayespol.classifier import compensatory_pivot, compensatory_pivot_dual
+from bayespol.classifier import compensatory_pivot, compensatory_pivot_dual, is_spanning
 
 from conftest import DIAGONAL, GRID_2X2, GRID_3X3, OFF_DIAGONAL
 
@@ -96,6 +96,25 @@ def test_diagonal_is_the_unique_2x2_passer():
 def test_ring_passes_on_3x3():
     ring = StateSubset.full(GRID_3X3).difference(_subset(GRID_3X3, (0, 0), (2, 2)))
     assert classify(GRID_3X3, ring).can_strongly_polarize
+
+
+def _spans_by_states(subset):
+    # the definition, state by state: every axis's lowest and highest value
+    space = subset.space
+    return all(
+        any(s[axis] == 0 for s in subset.states())
+        and any(s[axis] == n - 1 for s in subset.states())
+        for axis, n in enumerate(space.shape)
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 4), (2, 2, 2)])
+def test_mask_spanning_matches_the_state_definition(shape):
+    space = StateSpace.grid(*shape)
+    for mask in range(space.full_mask + 1):
+        subset = StateSubset(space, mask)
+        for s in (subset, subset.complement()):
+            assert is_spanning(s) == _spans_by_states(s), (shape, s.mask)
 
 
 def test_classify_rejects_high_dimension_unless_flagged():

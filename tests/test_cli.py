@@ -606,6 +606,30 @@ def test_scan_refuses_a_grid_that_is_not_two_dimensional(capsys):
     assert "two dimensions" in json.loads(capsys.readouterr().err)["error"]
 
 
+def test_three_dimensional_grids_are_refused_with_their_dims(tmp_path, capsys):
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({
+        "dims": [["0", "1"]] * 3, "identified_set": [[0, 0, 0], [1, 1, 1]],
+    }))
+    for argv in (["scan", "--dims", "2x2x2"], ["classify", str(path)],
+                 ["construct", str(path)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        assert "dims 2x2x2" in error, argv
+        assert "proven for two-dimensional grids" in error, argv
+        assert "allow_high_dim" not in captured.out + captured.err, argv
+
+
+def test_a_foreign_flag_shows_the_subcommand_usage(mirror_scenario, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", mirror_scenario, "--trials", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bayespol classify")
+    assert "unrecognized arguments: --trials 5" in err
+
+
 def _no_classify(space, subset):
     raise ValueError("classify reached")
 

@@ -166,11 +166,31 @@ def test_construction_satisfies_the_stronger_outer_links():
         assert compare_strong_cw(result.prior_high, cert.posterior_high).holds
 
 
+def _mixing_inequalities_hold(eps, delta):
+    return (1 - delta) * eps > delta and (
+        (1 - delta) ** 2 * eps > (1 - delta) * 2 * delta + delta**2
+    )
+
+
 def test_delta_respects_the_mixing_inequalities():
-    result = build_polarizing_priors(GRID_2X2, DIAGONAL)
-    eps, delta = result.epsilon, result.delta
-    assert (1 - delta) * eps > delta
-    assert (1 - delta) ** 2 * eps > (1 - delta) * 2 * delta + delta**2
+    # Checked in Fractions on every passing set: delta satisfies both, and
+    # it is the largest power of two that does (no build here needs a
+    # certificate retry), so 2 delta fails one unless delta = 1/2.
+    cases = [(GRID_2X2, DIAGONAL)]
+    for space in (GRID_2X3, GRID_3X3):
+        for mask in range(1, space.full_mask):
+            subset = StateSubset(space, mask)
+            if classify(space, subset).can_strongly_polarize:
+                cases.append((space, subset))
+    assert len(cases) == 1 + 7 + 140
+    for space, subset in cases:
+        result = build_polarizing_priors(space, subset)
+        eps, delta = result.epsilon, result.delta
+        assert isinstance(eps, F) and isinstance(delta, F)
+        assert delta.numerator == 1 and delta.denominator.bit_count() == 1
+        assert _mixing_inequalities_hold(eps, delta), subset
+        if delta != F(1, 2):
+            assert not _mixing_inequalities_hold(eps, 2 * delta), subset
 
 
 @pytest.mark.parametrize(
