@@ -14,6 +14,16 @@ from typing import Optional
 from .core import State, StateSpace, StateSubset
 
 
+def _require_two_dimensions(space: StateSpace) -> None:
+    """Refuse a grid outside the proven characterization, naming its dims."""
+    if space.ndim != 2:
+        raise ValueError(
+            f"dims {'x'.join(map(str, space.shape))} is a {space.ndim}-dimensional"
+            " grid: the characterization is proven for two-dimensional grids,"
+            " so the classifier takes two dimensions only"
+        )
+
+
 def _diagonal(space: StateSpace) -> int:
     """Flat step of (1, ..., 1): g >> f iff g >= f + (1, ..., 1), so the
     strict up-cone of f is the weak up-cone of f + d, when that state exists,
@@ -118,27 +128,17 @@ class ClassificationReport:
     biased_down_pivot: Optional[State]
     biased_up_pivot: Optional[State]
     compensatory_pivot: Optional[State]
-    conjectural: bool = False
 
 
-def classify(
-    space: StateSpace,
-    identified: StateSubset,
-    allow_high_dim: bool = False,
-) -> ClassificationReport:
+def classify(space: StateSpace, identified: StateSubset) -> ClassificationReport:
     """Evaluate the three polarization conditions for an identified set.
 
-    The characterization is proven for two-dimensional spaces only; pass
-    ``allow_high_dim=True`` to run the same predicates in higher dimension,
-    in which case the verdict is labeled conjectural.
+    The characterization is proven for two-dimensional grids only, so any
+    other grid is refused with a ValueError that names its dims.
     """
     if identified.space != space:
         raise ValueError("identified set lives on a different space")
-    if space.ndim != 2 and not allow_high_dim:
-        raise ValueError(
-            "characterization proven only for two dimensions; "
-            "pass allow_high_dim=True for a conjectural verdict"
-        )
+    _require_two_dimensions(space)
     if not identified.is_proper:
         raise ValueError("identified set must be a proper nonempty subset")
 
@@ -168,7 +168,6 @@ def classify(
         biased_down_pivot=down,
         biased_up_pivot=up,
         compensatory_pivot=pivot,
-        conjectural=space.ndim != 2,
     )
 
 
@@ -190,8 +189,7 @@ def antichain_dominates(
     Requires: disjointness; ``low`` attains the minimal value and ``high``
     the maximal value on both coordinates; and a non-compensatory union.
     """
-    if space.ndim != 2:
-        raise ValueError("antichain dominance is defined for two dimensions")
+    _require_two_dimensions(space)
     if low.space != space or high.space != space:
         raise ValueError("antichains live on a different space")
     if low.is_empty or high.is_empty:

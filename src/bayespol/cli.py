@@ -12,8 +12,9 @@ flag is a usage error that names it, under the subcommand's own usage line.
 ``table`` sweeps the six order x mode cells, and a hit in a cell the paper
 proves impossible is an internal error.  ``scan`` classifies every proper
 nonempty subset of a 2-D grid and builds and certifies the priors of each
-subset that passes; ``scan``, ``classify`` and ``construct`` refuse a grid
-that is not two-dimensional, where the characterization is not proven.
+subset that passes.  The library's ``classify`` refuses a grid that is not
+two-dimensional, where the characterization is not proven; ``scan``,
+``classify`` and ``construct`` exit 1 with its error, which names the dims.
 
 Exit status: 0 on success, 1 on domain errors (including malformed scenario
 content, reported with the offending field named), 2 on usage errors.
@@ -378,26 +379,14 @@ def _cmd_compare(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     return {"order": args.order, **_verdict_doc(verdict)}, None
 
 
-def _require_2d(shape: tuple[int, ...], command: str) -> None:
-    """Refuse a grid outside the proven characterization, naming its dims."""
-    if len(shape) != 2:
-        raise ValueError(
-            f"dims {'x'.join(map(str, shape))} is a {len(shape)}-dimensional grid: the"
-            " characterization is proven for two-dimensional grids, so"
-            f" '{command}' takes two dimensions only"
-        )
-
-
 def _cmd_classify(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "classify")
-    _require_2d(sc.space.shape, "classify")
     rep = classify(sc.space, ident)
     return {"identified_set": _indices(ident.states()), **_classify_doc(rep)}, None
 
 
 def _cmd_construct(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     ident = _require(sc, "identified", "identified_set", "construct")
-    _require_2d(sc.space.shape, "construct")
     result = build_polarizing_priors(sc.space, ident)
     return {
         "identified_set": _indices(ident.states()),
@@ -560,7 +549,6 @@ def _cmd_table(sc_unused, args) -> tuple[dict, Optional[Table]]:
 
 def _cmd_scan(sc_unused, args) -> tuple[dict, Optional[Table]]:
     dims = args.dims
-    _require_2d(dims, "scan")
     n = math.prod(dims)
     # a cap on n first, so an absurd grid is refused without building 2^n
     if n > 64 or 2**n - 2 > SCAN_SUBSET_BUDGET:

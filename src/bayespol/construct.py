@@ -6,9 +6,10 @@ recursing on the grid (peel the high antichain's extreme element, shrink the
 grid, mix a small Dirac back in).  ``build_polarizing_priors`` assembles full
 polarizing priors for any identified set passing the classifier, then
 verifies the result with exact comparators rather than trusting the algebra.
-Masses are integer weights over one denominator throughout, as in ``Belief``;
-the polarizing priors' mixing weight runs over delta = 1/d for powers of two
-d, so its search and the layer weights (d - 1)^a d^(2 - a - b) / d^2 are
+Every distribution the builders handle is a ``Belief`` (integer numerators
+over one denominator), and antichains travel as ascending flat indices; the
+polarizing priors' mixing weight runs over delta = 1/d for powers of two d,
+so its search and the layer weights (d - 1)^a d^(2 - a - b) / d^2 are
 integer arithmetic as well.
 ``mirror_extremes_instance`` and ``one_shot_orthant_instance`` produce the
 two closed-form instance families: mirror-image priors identified on the two
@@ -24,15 +25,17 @@ from typing import Optional, Sequence
 
 from .bayes import LikelihoodFn
 from .classifier import antichain_dominates, classify, max_set, min_set
-from .core import Belief, State, StateSpace, StateSubset, frac, leq
+from .core import Belief, State, StateSpace, StateSubset, frac
 from .orders import Relation, Strictness, UpperFamilyKind, compare, compare_strong_cw
 from .polarization import PolarizationReport, limit, one_shot
 
 # The delta search tries delta = 1/d for d = 2, 4, ..., up to this cap.
 _MAX_DELTA_INVERSE = 2**64
 
-# Masses on named states as integer weights over one positive denominator.
-Massmap = tuple[dict[State, int], int]
+# The one-shot orthant search tries concentrations n = 3, 4, ..., up to the cap.
+_ONE_SHOT_N_START = 3
+_ONE_SHOT_N_CAP = 2**20
+
 _Box = tuple[State, State]  # inclusive (low corner, high corner) index bounds
 
 
@@ -51,54 +54,66 @@ class ConstructionResult:
 # ---------------------------------------------------------------------------
 
 
-def _box_cdf_gap(low: Massmap, high: Massmap, box: _Box) -> Fraction:
-    """Minimum of (F_low - F_high) over interior cuts of the box, both axes."""
-    (low_w, low_den), (high_w, high_den) = low, high
-    (lo0, lo1), (hi0, hi1) = box[0], box[1]
-    best: Optional[int] = None
-    for axis, lo, hi in ((0, lo0, hi0), (1, lo1, hi1)):
-        for cut in range(lo, hi):
-            fl = sum(w for s, w in low_w.items() if s[axis] <= cut)
-            fh = sum(w for s, w in high_w.items() if s[axis] <= cut)
-            gap = fl * high_den - fh * low_den
-            if best is None or gap < best:
-                best = gap
-    if best is None:
+def _box_cdf_gap(low: Belief, high: Belief, box: _Box) -> Fraction:
+    """Minimum of (F_low - F_high) over interior cuts of the box, every axis."""
+    lden, hden = low.den, high.den
+    # per state, low mass minus high mass over the product denominator
+    diff = [lnum * hden - hnum * lden for lnum, hnum in zip(low.nums, high.nums)]
+    get = diff.__getitem__
+    gaps = []
+    for groups, lo, hi in zip(low.space.axis_groups, *box):
+        cdf_gap = 0
+        for cut in range(hi):
+            cdf_gap += sum(map(get, groups[cut]))
+            if cut >= lo:
+                gaps.append(cdf_gap)
+    if not gaps:
         raise AssertionError("degenerate box with no interior cuts")
-    return Fraction(best, low_den * high_den)
+    return Fraction(min(gaps), lden * hden)
 
 
-def _mix_in_dirac(masses: Massmap, state: State, eps: Fraction) -> Massmap:
-    """``(1 - eps)`` times ``masses`` plus ``eps`` at a state outside them."""
-    weights, den = masses
+def _uniform(space: StateSpace, flats: Sequence[int]) -> Belief:
+    """Uniform belief on the states at ``flats``."""
+    nums = [0] * space.size
+    for f in flats:
+        nums[f] = 1
+    return Belief(space, tuple(nums), len(flats))
+
+
+def _mix_in_dirac(belief: Belief, flat: int, eps: Fraction) -> Belief:
+    """``(1 - eps)`` times ``belief`` plus ``eps`` at a state outside its support."""
     p, q = eps.numerator, eps.denominator
-    mixed = {s: (q - p) * w for s, w in weights.items()}
-    mixed[state] = p * den
-    return mixed, q * den
+    nums = [(q - p) * n for n in belief.nums]
+    nums[flat] = p * belief.den
+    return Belief(belief.space, tuple(nums), q * belief.den)
 
 
-def _antichain_pair(low: list[State], high: list[State], box: _Box) -> tuple[Massmap, Massmap]:
-    """Recursive construction of full-support masses on two antichains with
+def _antichain_pair(
+    space: StateSpace, low: Sequence[int], high: Sequence[int], box: _Box
+) -> tuple[Belief, Belief]:
+    """Recursive construction of full-support beliefs on two antichains with
     the low side strictly above the high side in every marginal cdf.
 
-    ``low`` and ``high`` are sorted ascending by the first coordinate (hence
-    descending by the second).  The singleton cases anchor the recursion: a
-    single high element must be the box corner, so a Dirac there stays below
-    any full-support distribution on the low antichain, and symmetrically.
+    ``low`` and ``high`` are ascending flat indices, hence ascending by the
+    first coordinate (and descending by the second).  The singleton cases
+    anchor the recursion: a single high element must be the box corner, so a
+    Dirac there stays below any full-support distribution on the low
+    antichain, and symmetrically.
     """
     if len(high) == 1:
-        if high[0] != box[1]:
+        if space.state_at(high[0]) != box[1]:
             raise AssertionError("singleton high antichain must sit at the box top")
-        return ({s: 1 for s in low}, len(low)), ({high[0]: 1}, 1)
+        return _uniform(space, low), _uniform(space, high)
     if len(low) == 1:
-        if low[0] != box[0]:
+        if space.state_at(low[0]) != box[0]:
             raise AssertionError("singleton low antichain must sit at the box bottom")
-        return ({low[0]: 1}, 1), ({s: 1 for s in high}, len(high))
+        return _uniform(space, low), _uniform(space, high)
 
     d1, d2 = low[0], low[1]
     t1, t2 = high[0], high[1]
-    first_branch = leq(d1, t1) and leq(d1, t2)
-    second_branch = leq(d1, t1) and leq(d2, t1)
+    up = space.up_cones
+    first_branch = up[d1] >> t1 & 1 and up[d1] >> t2 & 1
+    second_branch = up[d1] >> t1 & 1 and up[d2] >> t1 & 1
     if not (first_branch or second_branch):
         raise AssertionError(
             "non-compensatory union must allow peeling one extreme element"
@@ -107,25 +122,17 @@ def _antichain_pair(low: list[State], high: list[State], box: _Box) -> tuple[Mas
     if first_branch:
         # Drop the high element with the top second coordinate, cap the box
         # at the runner-up, recurse, then mix a small Dirac at it back in.
-        sub_box = (box[0], (box[1][0], t2[1]))
-        low_masses, rest = _antichain_pair(low, high[1:], sub_box)
-        eps = _box_cdf_gap(low_masses, rest, sub_box) / 2
-        return low_masses, _mix_in_dirac(rest, t1, eps)
+        sub_box = (box[0], (box[1][0], space.state_at(t2)[1]))
+        low_belief, rest = _antichain_pair(space, low, high[1:], sub_box)
+        eps = _box_cdf_gap(low_belief, rest, sub_box) / 2
+        return low_belief, _mix_in_dirac(rest, t1, eps)
 
     # Symmetric branch: drop the low element with the bottom first coordinate,
     # raise the box floor to the runner-up, recurse, mix the Dirac into low.
-    sub_box = ((d2[0], box[0][1]), box[1])
-    rest, high_masses = _antichain_pair(low[1:], high, sub_box)
-    eps = _box_cdf_gap(rest, high_masses, sub_box) / 2
-    return _mix_in_dirac(rest, d1, eps), high_masses
-
-
-def _as_belief(space: StateSpace, masses: Massmap) -> Belief:
-    weights, den = masses
-    nums = [0] * space.size
-    for state, w in weights.items():
-        nums[space.flat(state)] = w
-    return Belief(space, tuple(nums), den)
+    sub_box = ((space.state_at(d2)[0], box[0][1]), box[1])
+    rest, high_belief = _antichain_pair(space, low[1:], high, sub_box)
+    eps = _box_cdf_gap(rest, high_belief, sub_box) / 2
+    return _mix_in_dirac(rest, d1, eps), high_belief
 
 
 def antichain_distributions(
@@ -139,13 +146,9 @@ def antichain_distributions(
     dominance = antichain_dominates(space, low, high)
     if not dominance.holds:
         raise ValueError(f"antichain dominance precondition fails: {dominance.failed_condition}")
-    low_sorted = sorted(low.states())
-    high_sorted = sorted(high.states())
-    low_masses, high_masses = _antichain_pair(
-        low_sorted, high_sorted, (space.bottom, space.top)
+    low_belief, high_belief = _antichain_pair(
+        space, low.flats(), high.flats(), (space.bottom, space.top)
     )
-    low_belief = _as_belief(space, low_masses)
-    high_belief = _as_belief(space, high_masses)
     if not compare_strong_cw(low_belief, high_belief):
         raise AssertionError("internal error: constructed pair is not strongly ordered")
     return low_belief, high_belief
@@ -158,10 +161,14 @@ def antichain_distributions(
 
 def _joint_strong_solve(
     space: StateSpace,
-    chains: dict[str, list[State]],
-    relations: Sequence[tuple[str, str]],
-) -> dict[str, Massmap]:
+    chains: Sequence[Sequence[int]],
+    relations: Sequence[tuple[int, int]],
+) -> list[Belief]:
     """Solve all strong-dominance relations between antichains at once.
+
+    ``chains`` are antichains as ascending flat indices; each relation
+    names a (low, high) pair of them by position, and the beliefs come back
+    in the chains' order.
 
     Every constraint is a strict inequality between two cumulative masses, so
     the system is a set of difference constraints over prefix variables.  A
@@ -169,19 +176,18 @@ def _joint_strong_solve(
     prefix values over the longest path's length; masses are their
     differences.
     """
-    ZERO, ONE = ("", 0), ("", 1)
+    ZERO, ONE = (-1, 0), (-1, 1)
 
-    def node(name: str, idx: int) -> tuple[str, int]:
-        k = len(chains[name])
+    def node(pos: int, idx: int) -> tuple[int, int]:
         if idx <= 0:
             return ZERO
-        if idx >= k:
+        if idx >= len(chains[pos]):
             return ONE
-        return (name, idx)
+        return (pos, idx)
 
-    edges: set[tuple[tuple[str, int], tuple[str, int]]] = set()
+    edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
 
-    def add(a: tuple[str, int], b: tuple[str, int]) -> None:
+    def add(a: tuple[int, int], b: tuple[int, int]) -> None:
         if a == b:
             raise AssertionError(f"infeasible constraint {a} < {b}")
         if a == ZERO and b == ONE:
@@ -190,9 +196,9 @@ def _joint_strong_solve(
             raise AssertionError(f"infeasible constraint {a} < {b}")
         edges.add((a, b))
 
-    for name, states in chains.items():
-        for r in range(len(states)):
-            add(node(name, r), node(name, r + 1))
+    for pos, chain in enumerate(chains):
+        for r in range(len(chain)):
+            add(node(pos, r), node(pos, r + 1))
 
     def rank_leq(states: list[State], axis: int, cut: int) -> int:
         return sum(1 for s in states if s[axis] <= cut)
@@ -200,23 +206,24 @@ def _joint_strong_solve(
     def rank_above(states: list[State], axis: int, cut: int) -> int:
         return sum(1 for s in states if s[axis] > cut)
 
-    for low_name, high_name in relations:
-        low_states, high_states = chains[low_name], chains[high_name]
+    states = [[space.state_at(f) for f in chain] for chain in chains]
+    for low_pos, high_pos in relations:
+        low_states, high_states = states[low_pos], states[high_pos]
         for cut in range(space.shape[0] - 1):
             # F_high < F_low on the first axis: prefix(high) < prefix(low)
             add(
-                node(high_name, rank_leq(high_states, 0, cut)),
-                node(low_name, rank_leq(low_states, 0, cut)),
+                node(high_pos, rank_leq(high_states, 0, cut)),
+                node(low_pos, rank_leq(low_states, 0, cut)),
             )
         for cut in range(space.shape[1] - 1):
             # Second axis cdfs are one-minus-suffix, flipping the direction.
             add(
-                node(low_name, rank_above(low_states, 1, cut)),
-                node(high_name, rank_above(high_states, 1, cut)),
+                node(low_pos, rank_above(low_states, 1, cut)),
+                node(high_pos, rank_above(high_states, 1, cut)),
             )
 
-    outgoing: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    indeg: dict[tuple[str, int], int] = {}
+    outgoing: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    indeg: dict[tuple[int, int], int] = {}
     nodes = {ZERO, ONE}
     for a, b in edges:
         nodes.add(a)
@@ -245,26 +252,22 @@ def _joint_strong_solve(
         raise AssertionError("infeasible joint system: constraint cycle")
 
     top = longest[ONE]
-    out: dict[str, Massmap] = {}
-    for name, states in chains.items():
-        prefix = [longest[node(name, r)] for r in range(len(states) + 1)]
-        weights = {}
-        for r, state in enumerate(states):
+    out = []
+    for pos, chain in enumerate(chains):
+        prefix = [longest[node(pos, r)] for r in range(len(chain) + 1)]
+        nums = [0] * space.size
+        for r, f in enumerate(chain):
             w = prefix[r + 1] - prefix[r]
             if w <= 0:
                 raise AssertionError("joint solve produced a nonpositive mass")
-            weights[state] = w
-        out[name] = (weights, top)
+            nums[f] = w
+        out.append(Belief(space, tuple(nums), top))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Polarizing priors for a classified identified set
 # ---------------------------------------------------------------------------
-
-
-def _strong_ok(space: StateSpace, low: Massmap, high: Massmap) -> bool:
-    return bool(compare_strong_cw(_as_belief(space, low), _as_belief(space, high)))
 
 
 def _conditional_pieces(
@@ -289,38 +292,27 @@ def _conditional_pieces(
             )
 
     full_box = (space.bottom, space.top)
-    a_m, b_m = _antichain_pair(sorted(a_set.states()), sorted(b_set.states()), full_box)
-    _, c_m = _antichain_pair(sorted(a_set.states()), sorted(c_set.states()), full_box)
-    d_m, _ = _antichain_pair(sorted(d_set.states()), sorted(b_set.states()), full_box)
+    chains = [subset.flats() for subset in (a_set, b_set, c_set, d_set)]
+    a, b, c, d = chains
+    on_a, on_b = _antichain_pair(space, a, b, full_box)
+    _, on_c = _antichain_pair(space, a, c, full_box)
+    on_d, _ = _antichain_pair(space, d, b, full_box)
 
     # Pairwise runs share no variables, so the two reused sides may fail the
     # cross relations; if so, re-solve all four jointly.
-    if not (_strong_ok(space, a_m, c_m) and _strong_ok(space, d_m, b_m)):
-        chains = {
-            "a": sorted(a_set.states()),
-            "b": sorted(b_set.states()),
-            "c": sorted(c_set.states()),
-            "d": sorted(d_set.states()),
-        }
-        solved = _joint_strong_solve(
-            space, chains, [("a", "b"), ("a", "c"), ("d", "b")]
+    if not (compare_strong_cw(on_a, on_c) and compare_strong_cw(on_d, on_b)):
+        on_a, on_b, on_c, on_d = _joint_strong_solve(
+            space, chains, [(0, 1), (0, 2), (3, 1)]
         )
-        a_m, b_m, c_m, d_m = solved["a"], solved["b"], solved["c"], solved["d"]
 
     gap = min(
-        _box_cdf_gap(a_m, b_m, full_box),
-        _box_cdf_gap(a_m, c_m, full_box),
-        _box_cdf_gap(d_m, b_m, full_box),
+        _box_cdf_gap(on_a, on_b, full_box),
+        _box_cdf_gap(on_a, on_c, full_box),
+        _box_cdf_gap(on_d, on_b, full_box),
     )
     if gap <= 0:
         raise AssertionError("internal error: nonpositive strong-dominance gap")
-    return (
-        _as_belief(space, a_m),
-        _as_belief(space, b_m),
-        _as_belief(space, c_m),
-        _as_belief(space, d_m),
-        gap / 2,
-    )
+    return on_a, on_b, on_c, on_d, gap / 2
 
 
 def _layers(
@@ -531,8 +523,6 @@ def one_shot_orthant_instance(
 def find_one_shot_orthant_instance(
     space: StateSpace,
     epsilon: Fraction,
-    n_start: int = 3,
-    n_cap: int = 2**20,
     require_all_strict: bool = False,
 ) -> OneShotOrthantInstance:
     """Increase the concentration parameter until the certificate passes.
@@ -540,8 +530,8 @@ def find_one_shot_orthant_instance(
     ``require_all_strict`` additionally demands strict movement on every
     proper orthant for both agents (used by the action layer).
     """
-    n = n_start
-    while n <= n_cap:
+    n = _ONE_SHOT_N_START
+    while n <= _ONE_SHOT_N_CAP:
         inst = one_shot_orthant_instance(space, epsilon, n)
         if inst.report.verdict:
             if not require_all_strict:
@@ -565,4 +555,4 @@ def find_one_shot_orthant_instance(
             if all_strict:
                 return inst
         n += 1
-    raise RuntimeError(f"no certified instance found for n up to {n_cap}")
+    raise RuntimeError(f"no certified instance found for n up to {_ONE_SHOT_N_CAP}")

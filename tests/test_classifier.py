@@ -8,6 +8,7 @@ from bayespol import (
     StateSpace,
     StateSubset,
     antichain_dominates,
+    build_polarizing_priors,
     classify,
     is_antichain,
     max_set,
@@ -117,13 +118,21 @@ def test_mask_spanning_matches_the_state_definition(shape):
             assert is_spanning(s) == _spans_by_states(s), (shape, s.mask)
 
 
-def test_classify_rejects_high_dimension_unless_flagged():
+def test_grids_that_are_not_two_dimensional_are_refused_with_their_dims():
     cube = StateSpace.grid(2, 2, 2)
-    subset = StateSubset.from_states(cube, [(0, 0, 0), (1, 1, 1)])
-    with pytest.raises(ValueError, match="two dimensions"):
-        classify(cube, subset)
-    report = classify(cube, subset, allow_high_dim=True)
-    assert report.conjectural
+    low, high = _subset(cube, (0, 0, 0)), _subset(cube, (1, 1, 1))
+    line = StateSpace.grid(4)
+    calls = [
+        (lambda: classify(cube, low.union(high)), "2x2x2"),
+        (lambda: antichain_dominates(cube, low, high), "2x2x2"),
+        (lambda: build_polarizing_priors(cube, low.union(high)), "2x2x2"),
+        (lambda: classify(line, _subset(line, (0,), (3,))), "4"),
+    ]
+    for call, dims in calls:
+        with pytest.raises(ValueError, match=f"dims {dims} ") as exc:
+            call()
+        assert "proven for two-dimensional grids" in str(exc.value)
+        assert "allow_high_dim" not in str(exc.value)
 
 
 def test_classify_rejects_trivial_sets():
@@ -201,10 +210,9 @@ def test_classified_sets_satisfy_the_three_dominance_relations(shape):
 @pytest.mark.parametrize(
     "shape,digest",
     [
-        ((2, 3), "c68de2fb25ca45fb"),
-        ((3, 3), "dddfad9d5f31df52"),
-        ((2, 4), "8a81d23132ae91fa"),
-        ((2, 2, 2), "4edbc9fd8a9ecd3d"),
+        ((2, 3), "d93dd2d6849ec963"),
+        ((3, 3), "bb13c6b259cf8872"),
+        ((2, 4), "d481626a76eb82d6"),
     ],
 )
 def test_classify_reports_are_pinned(shape, digest):
@@ -212,7 +220,7 @@ def test_classify_reports_are_pinned(shape, digest):
     space = StateSpace.grid(*shape)
     h = hashlib.sha256()
     for mask in range(1, space.full_mask):
-        report = classify(space, StateSubset(space, mask), allow_high_dim=space.ndim != 2)
+        report = classify(space, StateSubset(space, mask))
         row = [report.identified_set.mask] + [
             getattr(report, f.name) for f in fields(report) if f.name != "identified_set"
         ]

@@ -23,7 +23,7 @@ from bayespol import (
     mirror_extremes_threshold,
     one_shot_orthant_instance,
 )
-from bayespol.construct import _joint_strong_solve, _as_belief
+from bayespol.construct import _box_cdf_gap, _joint_strong_solve
 from bayespol.classifier import max_set, min_set
 
 from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, OFF_DIAGONAL
@@ -118,18 +118,48 @@ def test_antichain_distributions_match_their_pinned_digest():
 def test_joint_solver_satisfies_all_relations():
     ring = StateSubset.full(GRID_3X3).difference(_subset(GRID_3X3, (0, 0), (2, 2)))
     complement = ring.complement()
-    chains = {
-        "a": sorted(min_set(ring).states()),
-        "b": sorted(max_set(ring).states()),
-        "c": sorted(max_set(complement).states()),
-        "d": sorted(min_set(complement).states()),
-    }
-    relations = [("a", "b"), ("a", "c"), ("d", "b")]
+    chains = [
+        min_set(ring).flats(),
+        max_set(ring).flats(),
+        max_set(complement).flats(),
+        min_set(complement).flats(),
+    ]
+    relations = [(0, 1), (0, 2), (3, 1)]
     solution = _joint_strong_solve(GRID_3X3, chains, relations)
-    for low_name, high_name in relations:
-        low = _as_belief(GRID_3X3, solution[low_name])
-        high = _as_belief(GRID_3X3, solution[high_name])
-        assert compare_strong_cw(low, high).holds
+    for low_pos, high_pos in relations:
+        assert compare_strong_cw(solution[low_pos], solution[high_pos]).holds
+
+
+def _box_cdf_gap_by_states(low, high, box):
+    # the definition, state by state: per cut, the masses with s[axis] <= cut
+    states = low.space.states
+    gaps = []
+    for axis in range(low.space.ndim):
+        for cut in range(box[0][axis], box[1][axis]):
+            fl = sum(low.mass_flat(f) for f, s in enumerate(states) if s[axis] <= cut)
+            fh = sum(high.mass_flat(f) for f, s in enumerate(states) if s[axis] <= cut)
+            gaps.append(fl - fh)
+    return min(gaps)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (3, 4)])
+def test_box_cdf_gap_matches_the_state_definition(shape):
+    space = StateSpace.grid(*shape)
+    rng = random.Random(15)
+    rows, cols = shape
+    boxes = [
+        ((lo0, lo1), (hi0, hi1))
+        for lo0 in range(rows) for hi0 in range(lo0, rows)
+        for lo1 in range(cols) for hi1 in range(lo1, cols)
+        if lo0 < hi0 or lo1 < hi1
+    ]
+    for _ in range(8):
+        low, high = (
+            Belief.from_weights(space, [rng.randint(0, 9) for _ in range(space.size)])
+            for _ in range(2)
+        )
+        for box in boxes:
+            assert _box_cdf_gap(low, high, box) == _box_cdf_gap_by_states(low, high, box)
 
 
 # -- polarizing priors ------------------------------------------------------------
