@@ -397,9 +397,20 @@ def compare(
     orthant sums.
     """
     space = _check_shared_space(low, high)
-    one_event = strictness is Strictness.ONE_EVENT
     lden, hden = low.den, high.den
     w = [a * hden - b * lden for a, b in zip(low.nums, high.nums)]
+    return _verdict_from_gaps(space, kind, w, strictness)
+
+
+def _verdict_from_gaps(
+    space: StateSpace, kind: UpperFamilyKind, w: list[int], strictness: Strictness
+) -> DominanceVerdict:
+    """``compare``'s verdict from its integer gaps ``w = low·hden − high·lden``.
+
+    Only the sign of each event's sum of ``w`` counts, so any positive
+    multiple of the gaps gives the same relation and the same witnesses.
+    """
+    one_event = strictness is Strictness.ONE_EVENT
     if kind is UpperFamilyKind.UPPER_SET:
         low_gt, high_gt, everywhere = _upper_set_gaps(space, w, one_event)
     else:

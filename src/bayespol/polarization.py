@@ -11,30 +11,36 @@ witness events and a per-state direction table so failures are debuggable.
 
 ``one_shot`` and ``limit`` validate every input up front, then evaluate the
 links in chain order: ``low_drop``, the middle link, ``high_rise``.  The
-verdict stops at the first link that fails, so most misses cost one posterior
-and one ``compare``.  The report's other fields (the links the verdict did
-not reach, the high posterior and the direction table) are computed on first
-access and cached.
+verdict stops at the first link that fails.  The two posterior links are
+decided on the integer gap vector ``compare`` would form against the
+posterior, read off the prior's numerators and the evidence, so no posterior
+``Belief`` is built for them and a miss builds none at all.  The report's
+other fields (the links the verdict did not reach, both posteriors and the
+direction table) are computed on first access and cached.
 """
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import cached_property, partial
-from itertools import compress
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Optional, Union
 
 from .bayes import LikelihoodFn, limit_posterior, update
-from .core import Belief, State, StateSubset
+from .core import Belief, State, StateSpace, StateSubset
 from .orders import (
     DominanceVerdict,
     Strictness,
     StrongCwVerdict,
     UpperFamilyKind,
-    _orthant_gaps,
+    _verdict_from_gaps,
     compare,
     compare_strong_cw,
 )
+
+# Spaces, and masks per space, whose per-axis splits ``_axis_splits`` keeps.
+_SPLIT_SPACES = 8
+_SPLIT_MASKS = 1024
+_SPLITS: dict[int, tuple[StateSpace, dict[int, tuple]]] = {}
 
 
 class Mode(Enum):
@@ -78,11 +84,45 @@ _REPORT_FIELDS = (
     "identified_set",
 )
 
+_Evidence = Union[LikelihoodFn, StateSubset]
+
 
 def _middle_holds(prior_gap: Union[DominanceVerdict, StrongCwVerdict]) -> bool:
     if isinstance(prior_gap, StrongCwVerdict):
         return prior_gap.holds
     return prior_gap.strictly_below
+
+
+def _posterior_link(
+    mode: Mode,
+    kind: UpperFamilyKind,
+    prior: Belief,
+    evidence: _Evidence,
+    strictness: Strictness,
+    rise: bool,
+) -> DominanceVerdict:
+    """``compare(posterior, prior)``, or with ``rise`` ``compare(prior,
+    posterior)``, without building the posterior.
+
+    The posterior's numerators are the prior's ``n`` times the likelihood's
+    (one-shot) or masked to the identified set (limit), over their sum
+    ``t``.  So the gaps ``compare`` forms are a positive multiple of
+    ``j·D − n·t``, with ``j`` those numerators and ``D`` the prior's
+    denominator, or of its negation for the high link; the relation and
+    both witnesses come out the same.
+    """
+    nums, den = prior.nums, prior.den
+    if mode is Mode.ONE_SHOT:
+        joint = [n * x for n, x in zip(nums, evidence.nums)]  # type: ignore[union-attr]
+    else:
+        mask = evidence.mask  # type: ignore[union-attr]
+        joint = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
+    total = sum(joint)
+    if rise:
+        w = [n * total - j * den for j, n in zip(joint, nums)]
+    else:
+        w = [j * den - n * total for j, n in zip(joint, nums)]
+    return _verdict_from_gaps(prior.space, kind, w, strictness)
 
 
 class PolarizationReport:
@@ -91,9 +131,12 @@ class PolarizationReport:
     ``one_shot`` and ``limit`` make reports.  ``verdict`` is settled when the
     report is made, link by link in chain order (``low_drop``, then
     ``prior_gap``, then ``high_rise``), and stops at the first link that
-    fails.  ``prior_gap``, ``high_rise``, ``posterior_high`` and
-    ``directions`` are computed on first access and cached.  The report is
-    immutable; ``==``, ``hash`` and ``repr`` cover the twelve fields of
+    fails.  The posterior links are read on integer gap vectors, so making a
+    report builds no posterior.  ``prior_gap``, ``high_rise``, both
+    posteriors (by ``update`` or ``limit_posterior``) and ``directions`` are
+    computed on first access and cached; ``limit`` hands in a ``high_rise``
+    it has already worked out for its self-check.  The report is immutable;
+    ``==``, ``hash`` and ``repr`` cover the twelve fields of
     ``_REPORT_FIELDS``, so they force the lazy ones.
     """
 
@@ -103,7 +146,6 @@ class PolarizationReport:
     low_drop: DominanceVerdict            # posterior_low vs prior_low
     strong_middle: bool
     strictness: Strictness
-    posterior_low: Belief
     identified_set: Optional[StateSubset]
 
     def __init__(
@@ -112,26 +154,28 @@ class PolarizationReport:
         mode: Mode,
         prior_low: Belief,
         prior_high: Belief,
-        posterior_low: Belief,
-        high_posterior: Callable[[], Belief],
+        evidence: _Evidence,
         strong_middle: bool,
         strictness: Strictness,
-        identified_set: Optional[StateSubset] = None,
+        low_drop: DominanceVerdict,
+        high_rise: Optional[DominanceVerdict] = None,
     ) -> None:
-        self.__dict__.update(
+        fields = self.__dict__
+        fields.update(
             kind=kind,
             mode=mode,
             strong_middle=strong_middle,
             strictness=strictness,
-            posterior_low=posterior_low,
-            identified_set=identified_set,
-            low_drop=compare(posterior_low, prior_low, kind, strictness),
+            identified_set=evidence if mode is Mode.LIMIT else None,
+            low_drop=low_drop,
             _prior_low=prior_low,
             _prior_high=prior_high,
-            _high_posterior=high_posterior,
+            _evidence=evidence,
         )
-        self.__dict__["verdict"] = (
-            self.low_drop.strictly_below
+        if high_rise is not None:
+            fields["high_rise"] = high_rise
+        fields["verdict"] = (
+            low_drop.strictly_below
             and _middle_holds(self.prior_gap)
             and self.high_rise.strictly_below
         )
@@ -143,13 +187,24 @@ class PolarizationReport:
         return compare(self._prior_low, self._prior_high, self.kind, self.strictness)
 
     @cached_property
-    def posterior_high(self) -> Belief:
-        return self._high_posterior()
-
-    @cached_property
     def high_rise(self) -> DominanceVerdict:
         """prior_high vs posterior_high"""
-        return compare(self._prior_high, self.posterior_high, self.kind, self.strictness)
+        return _posterior_link(
+            self.mode, self.kind, self._prior_high, self._evidence, self.strictness, True
+        )
+
+    def _posterior(self, prior: Belief) -> Belief:
+        if self.mode is Mode.ONE_SHOT:
+            return update(prior, self._evidence)
+        return limit_posterior(prior, self._evidence)
+
+    @cached_property
+    def posterior_low(self) -> Belief:
+        return self._posterior(self._prior_low)
+
+    @cached_property
+    def posterior_high(self) -> Belief:
+        return self._posterior(self._prior_high)
 
     @cached_property
     def directions(self) -> DirectionTable:
@@ -200,20 +255,18 @@ def one_shot(
     """Polarization verdict after both agents observe one realization."""
     if not (prior_low.full_support and prior_high.full_support):
         raise ValueError("one-shot polarization requires full-support priors")
-    ql = update(prior_low, ell)
-    # The high posterior is lazy, so check now what building it would:
-    # with both priors of full support on the likelihood's space, it exists.
+    # No posterior is built here, so check what building them would: both
+    # priors live on the likelihood's space, and with full support the
+    # evidence has positive probability unless the likelihood is all zero.
+    if prior_low.space != ell.space:
+        raise ValueError("prior and likelihood live on different spaces")
+    if not any(ell.nums):
+        raise ValueError("zero evidence probability: signal rules out the prior")
     if prior_high.space != ell.space:
         raise ValueError("prior and likelihood live on different spaces")
+    low_drop = _posterior_link(Mode.ONE_SHOT, kind, prior_low, ell, strictness, False)
     return PolarizationReport(
-        kind,
-        Mode.ONE_SHOT,
-        prior_low,
-        prior_high,
-        ql,
-        partial(update, prior_high, ell),
-        False,
-        strictness,
+        kind, Mode.ONE_SHOT, prior_low, prior_high, ell, False, strictness, low_drop
     )
 
 
@@ -237,72 +290,118 @@ def limit(
         raise ValueError("identified set is empty")
     if strong_middle and kind is not UpperFamilyKind.UPPER_PROJECTION:
         raise ValueError("strong middle link is defined for the coordinatewise order")
-    ql = limit_posterior(prior_low, identified)
-    if prior_high.space != identified.space:
+    if prior_low.space != identified.space or prior_high.space != identified.space:
         raise ValueError("subset lives on a different space")
-    report = PolarizationReport(
+    low_drop = _posterior_link(Mode.LIMIT, kind, prior_low, identified, strictness, False)
+    high_rise = None
+    if kind is UpperFamilyKind.UPPER_PROJECTION and identified.is_proper:
+        # The self-check reads the high link on every trial, so the report
+        # gets it as it is rather than through its lazy field.
+        high_rise = _posterior_link(
+            Mode.LIMIT, kind, prior_high, identified, strictness, True
+        )
+        _check_conditional_reduction(prior_low, prior_high, identified, low_drop, high_rise)
+    return PolarizationReport(
         kind,
         Mode.LIMIT,
         prior_low,
         prior_high,
-        ql,
-        partial(limit_posterior, prior_high, identified),
+        identified,
         strong_middle,
         strictness,
-        identified,
+        low_drop,
+        high_rise,
     )
-    if kind is UpperFamilyKind.UPPER_PROJECTION and identified.is_proper:
-        _check_conditional_reduction(prior_low, prior_high, identified, report)
-    return report
+
+
+def _axis_splits(identified: StateSubset) -> tuple:
+    """The flat indices in a set, and per axis, from its top value down to
+    value 1, the states at that value split into those in the set and those
+    off it.
+
+    Kept per space, keyed by ``id`` next to the space itself (so the id
+    stays its own), and per mask; both tables drop their oldest entry when
+    full.  A key of ``(space, mask)`` would hash every axis value of the
+    space on each lookup.
+    """
+    space, mask = identified.space, identified.mask
+    entry = _SPLITS.get(id(space))
+    if entry is None:
+        if len(_SPLITS) >= _SPLIT_SPACES:
+            del _SPLITS[next(iter(_SPLITS))]
+        entry = _SPLITS[id(space)] = (space, {})
+    masks = entry[1]
+    splits = masks.get(mask)
+    if splits is None:
+        if len(masks) >= _SPLIT_MASKS:
+            del masks[next(iter(masks))]
+        per_axis = []
+        for groups in space.axis_groups:
+            row = []
+            for g in reversed(groups[1:]):
+                g_in: list[int] = []
+                g_out: list[int] = []
+                for f in g:
+                    (g_in if mask >> f & 1 else g_out).append(f)
+                row.append((tuple(g_in), tuple(g_out)))
+            per_axis.append(tuple(row))
+        inside = tuple([f for f in range(space.size) if mask >> f & 1])
+        splits = masks[mask] = (inside, tuple(per_axis))
+    return splits
+
+
+def _conditionals_ordered(prior: Belief, splits: tuple, sign: int) -> bool:
+    """With ``sign`` 1, whether ``prior|I ≤CW prior|Iᶜ``; with ``sign`` −1,
+    whether ``prior|Iᶜ ≤CW prior|I``.
+
+    Over the common denominator ``s_in·s_out`` the conditionals put
+    ``in_E·s_out`` and ``out_E·s_in`` on a projection event ``E``, where
+    ``in_E`` and ``out_E`` are the prior's numerators on ``E`` in and off
+    ``I``: per-axis tail sums over the set's splits.
+    """
+    get = prior.nums.__getitem__
+    inside, per_axis = splits
+    s_in = sum(map(get, inside))
+    s_out = prior.den - s_in
+    for axis in per_axis:
+        t_in = t_out = 0
+        for g_in, g_out in axis:
+            t_in += sum(map(get, g_in))
+            t_out += sum(map(get, g_out))
+            if (t_in * s_out - t_out * s_in) * sign > 0:
+                return False
+    return True
 
 
 def _reduced_links(
     pl: Belief, ph: Belief, identified: StateSubset
 ) -> tuple[bool, bool]:
     """Whether ``pl|I ≤CW pl|Iᶜ`` and whether ``ph|Iᶜ ≤CW ph|I``, for a
-    proper identified set ``I``, read on the priors' integer numerators.
-
-    Each prior's numerators split by the set's mask into the part on ``I``,
-    with sum ``s_in``, and the part off it, with sum ``s_out``.  Over the
-    common denominator ``s_in·s_out`` the gap of the conditional on ``I``
-    over the one off it is ``n·s_out`` on ``I`` and ``−n·s_in`` off it, so
-    one ``_orthant_gaps`` table per prior decides its link and no
-    conditional ``Belief`` is built.
-    """
-    space = identified.space
-    mask = identified.mask
-    inside = [mask >> f & 1 for f in range(space.size)]
-    cw = UpperFamilyKind.UPPER_PROJECTION
-    low_gt, _, _ = _orthant_gaps(space, cw, _split_gaps(pl, inside))
-    _, high_gt, _ = _orthant_gaps(space, cw, _split_gaps(ph, inside))
-    return low_gt is None, high_gt is None
-
-
-def _split_gaps(prior: Belief, inside: list[int]) -> list[int]:
-    nums = prior.nums
-    s_in = sum(compress(nums, inside))
-    s_out = prior.den - s_in
-    return [n * s_out if b else -n * s_in for n, b in zip(nums, inside)]
+    proper identified set ``I``, read on the priors' integer numerators
+    without building a conditional ``Belief``."""
+    splits = _axis_splits(identified)
+    return _conditionals_ordered(pl, splits, 1), _conditionals_ordered(ph, splits, -1)
 
 
 def _check_conditional_reduction(
-    pl: Belief, ph: Belief, identified: StateSubset, report: PolarizationReport
+    pl: Belief,
+    ph: Belief,
+    identified: StateSubset,
+    low_drop: DominanceVerdict,
+    high_rise: DominanceVerdict,
 ) -> None:
     """Posterior-vs-prior coordinatewise dominance must match the dominance of
     the prior's two conditionals (on the set and on its complement).
 
     With ``a = pl|I``, ``b = pl|Iᶜ``, ``c = ph|I`` and ``d = ph|Iᶜ``, the
-    report's ``ql ≤CW pl`` must equal ``a ≤CW b`` and its ``ph ≤CW qh`` must
-    equal ``d ≤CW c``.  The report's links come from ``compare`` on the
-    posteriors; the reduced ones from ``_reduced_links`` on the priors'
-    masked integer numerators, so the two sides share no code above
-    ``_orthant_gaps``.
+    direct ``ql ≤CW pl`` must equal ``a ≤CW b`` and ``ph ≤CW qh`` must equal
+    ``d ≤CW c``.  The direct links come from ``_posterior_link``, a table of
+    suffix sums along the cover edges; the reduced ones from
+    ``_reduced_links``, per-axis tail sums split by the set.  The two sides
+    share no code.
     """
     low_reduced, high_reduced = _reduced_links(pl, ph, identified)
-    if (
-        report.low_drop.weakly_below != low_reduced
-        or report.high_rise.weakly_below != high_reduced
-    ):
+    if low_drop.weakly_below != low_reduced or high_rise.weakly_below != high_reduced:
         raise AssertionError(
             "internal error: conditional reduction disagrees with direct comparison"
         )

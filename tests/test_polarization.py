@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -158,28 +159,61 @@ def test_integer_reduced_links_match_the_conditional_compares(pair):
     assert {low for low, _ in seen} == {high for _, high in seen} == {False, True}
 
 
+def test_the_split_cache_stays_bounded_and_right_after_evictions():
+    space = StateSpace.grid(3, 4)
+    rng = random.Random("split-cache")
+    pl, ph = _random_belief(rng, space, 12), _random_belief(rng, space, 12)
+    masks = range(1, space.full_mask, 3)
+    assert len(masks) > polarization._SPLIT_MASKS
+    for _ in range(2):  # the second round reads masks evicted in the first
+        for mask in masks:
+            ident = StateSubset(space, mask)
+            assert _reduced_links(pl, ph, ident) == reduced_links_by_compare(pl, ph, ident)
+        assert len(polarization._SPLITS[id(space)][1]) <= polarization._SPLIT_MASKS
+    for n in range(2, 3 + polarization._SPLIT_SPACES):
+        line = StateSpace.grid(n)
+        uniform = Belief.uniform(line)
+        _reduced_links(uniform, uniform, StateSubset(line, 1))
+    assert len(polarization._SPLITS) <= polarization._SPLIT_SPACES
+
+
 @pytest.mark.parametrize("link", ["low", "high"])
 def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
-    # The posterior is the only argument without full support: first in the
-    # low link's compare, second in the high link's.
-    real = polarization.compare
+    # The direct links are the two posterior links; ``rise`` marks the high one.
+    real = polarization._posterior_link
 
-    def flipped(low, high, kind, strictness=polarization.Strictness.ONE_EVENT):
-        verdict = real(low, high, kind, strictness)
-        posterior = low if link == "low" else high
-        if posterior.full_support:
+    def flipped(mode, kind, prior, evidence, strictness, rise):
+        verdict = real(mode, kind, prior, evidence, strictness, rise)
+        if rise != (link == "high"):
             return verdict
         if verdict.weakly_below:
             return DominanceVerdict(Relation.INCOMPARABLE, verdict.witness, verdict.witness)
         return DominanceVerdict(Relation.EQUAL)
 
-    monkeypatch.setattr(polarization, "compare", flipped)
+    monkeypatch.setattr(polarization, "_posterior_link", flipped)
     for ident in (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001)):
         with pytest.raises(AssertionError, match="conditional reduction"):
             limit(CW, MIRROR_LOW, MIRROR_HIGH, ident)
         with pytest.raises(AssertionError, match="conditional reduction"):
             limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
     # the self-check runs only in the coordinatewise order
+    limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+
+
+@pytest.mark.parametrize("link", ["low", "high"])
+def test_limit_self_check_fires_when_a_reduced_link_flips(monkeypatch, link):
+    real = polarization._reduced_links
+
+    def flipped(pl, ph, identified):
+        low, high = real(pl, ph, identified)
+        return (not low, high) if link == "low" else (low, not high)
+
+    monkeypatch.setattr(polarization, "_reduced_links", flipped)
+    for ident in (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001)):
+        with pytest.raises(AssertionError, match="conditional reduction"):
+            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident)
+        with pytest.raises(AssertionError, match="conditional reduction"):
+            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
     limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
 
 
@@ -246,6 +280,80 @@ def test_lazy_reports_match_the_eager_chain(space):
     assert outcomes == {"low_drop", "prior_gap", "high_rise", None}
 
 
+def _oracle_prior_pairs(rng, space):
+    return [
+        (_random_belief(rng, space, 12), _random_belief(rng, space, 12)),
+        (_random_belief(rng, space, 4), _random_belief(rng, space, 4)),
+        _random_strong_pair(rng, space, 12),
+    ]
+
+
+def _assert_links_match_eager_posteriors(report, pl, ph, ql, qh, kind, strictness):
+    """The slow path the integer links replaced: build both posteriors, then
+    ``compare`` them against the priors."""
+    assert report.low_drop == compare(ql, pl, kind, strictness)
+    assert report.high_rise == compare(ph, qh, kind, strictness)
+    assert report.posterior_low == ql
+    assert report.posterior_high == qh
+    return report.low_drop.relation, report.high_rise.relation
+
+
+# every relation but equality, which random full-support draws rarely meet
+_ORACLE_RELATIONS = set(Relation) - {Relation.EQUAL}
+_WEAK_RELATIONS = {Relation.WEAKLY_BELOW, Relation.WEAKLY_ABOVE}
+
+
+@pytest.mark.parametrize("space", ORACLE_GRIDS, ids=repr)
+def test_integer_limit_links_match_compare_on_built_posteriors(space):
+    rng = random.Random(f"limit-links:{space!r}")
+    pairs = _oracle_prior_pairs(rng, space)
+    seen = set()
+    for mask in range(1, space.full_mask):
+        ident = StateSubset(space, mask)
+        for pl, ph in pairs:
+            ql, qh = limit_posterior(pl, ident), limit_posterior(ph, ident)
+            for kind in (ST, UO, CW):
+                for strictness in Strictness:
+                    report = limit(kind, pl, ph, ident, strictness=strictness)
+                    seen.update(_assert_links_match_eager_posteriors(
+                        report, pl, ph, ql, qh, kind, strictness
+                    ))
+    expected = _ORACLE_RELATIONS
+    if space == GRID_2X2:
+        # the drawn 2x2 pairs leave no limit link weak but not strict
+        expected = expected - _WEAK_RELATIONS
+    assert seen >= expected
+
+
+def _oracle_likelihoods(space):
+    levels = (F(0), F(1, 2), F(1))
+    if space == GRID_2X2:
+        return [
+            LikelihoodFn.from_fractions(space, values)
+            for values in itertools.product(levels, repeat=space.size)
+            if any(values)
+        ]
+    rng = random.Random(f"one-shot-likelihoods:{space!r}")
+    return [_random_likelihood(rng, space, levels) for _ in range(80)]
+
+
+@pytest.mark.parametrize("space", (GRID_2X2, GRID_2X3, GRID_3X3), ids=repr)
+def test_integer_one_shot_links_match_compare_on_built_posteriors(space):
+    rng = random.Random(f"one-shot-links:{space!r}")
+    pairs = _oracle_prior_pairs(rng, space)
+    seen = set()
+    for ell in _oracle_likelihoods(space):
+        for pl, ph in pairs:
+            ql, qh = update(pl, ell), update(ph, ell)
+            for kind in (ST, UO, CW):
+                for strictness in Strictness:
+                    report = one_shot(kind, pl, ph, ell, strictness)
+                    seen.update(_assert_links_match_eager_posteriors(
+                        report, pl, ph, ql, qh, kind, strictness
+                    ))
+    assert seen >= _ORACLE_RELATIONS
+
+
 def test_the_middle_link_alone_can_fail_the_verdict():
     # Both outer links hold and the priors are not ordered: rare in random
     # draws, so pinned here.
@@ -272,22 +380,37 @@ def test_the_middle_link_alone_can_fail_the_verdict():
 
 
 def test_a_one_shot_miss_at_the_low_link_takes_one_compare(monkeypatch):
-    real = polarization.compare
-    calls = []
+    # Links are the two posterior links and the middle compare; posteriors
+    # come from update or limit_posterior.
+    links, posteriors = [], []
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(fn, calls):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
 
-    monkeypatch.setattr(polarization, "compare", counting)
+        return wrapper
+
+    for name in ("_posterior_link", "compare"):
+        monkeypatch.setattr(polarization, name, counting(getattr(polarization, name), links))
+    for name in ("update", "limit_posterior"):
+        monkeypatch.setattr(polarization, name, counting(getattr(polarization, name), posteriors))
     report = one_shot(ST, MIRROR_LOW, MIRROR_HIGH, CORNER_LIKELIHOOD)
     assert not report.verdict
-    assert len(calls) == 1
+    assert links == ["_posterior_link"] and posteriors == []
     assert not report.low_drop.strictly_below
     # the other links are still there, computed once on first access
     assert report.checks == {"low_drop": False, "prior_gap": True, "high_rise": False}
     report.checks
-    assert len(calls) == 3
+    assert sorted(links) == ["_posterior_link", "_posterior_link", "compare"]
+    assert posteriors == []
+    # each posterior is built once, when a field reads it
+    assert report.posterior_low == update(MIRROR_LOW, CORNER_LIKELIHOOD)
+    assert posteriors == ["update"]
+    report.directions
+    report.posterior_high
+    assert posteriors == ["update", "update"]
+    assert len(links) == 3
 
 
 # same shape as GRID_2X2, other axis labels: a different space
