@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .bayes import LikelihoodFn, limit_posterior, update
-from .core import Belief, State, StateSpace, StateSubset
+from .core import Belief, State, StateSubset
 from .orders import (
     DominanceVerdict,
     Strictness,
@@ -36,12 +36,6 @@ from .orders import (
     compare,
     compare_strong_cw,
 )
-
-# Spaces, and masks per space, whose per-axis splits ``_axis_splits`` keeps.
-_SPLIT_SPACES = 8
-_SPLIT_MASKS = 1024
-_SPLITS: dict[int, tuple[StateSpace, dict[int, tuple]]] = {}
-
 
 class Mode(Enum):
     ONE_SHOT = "oneshot"
@@ -314,61 +308,29 @@ def limit(
     )
 
 
-def _axis_splits(identified: StateSubset) -> tuple:
-    """The flat indices in a set, and per axis, from its top value down to
-    value 1, the states at that value split into those in the set and those
-    off it.
-
-    Kept per space, keyed by ``id`` next to the space itself (so the id
-    stays its own), and per mask; both tables drop their oldest entry when
-    full.  A key of ``(space, mask)`` would hash every axis value of the
-    space on each lookup.
-    """
-    space, mask = identified.space, identified.mask
-    entry = _SPLITS.get(id(space))
-    if entry is None:
-        if len(_SPLITS) >= _SPLIT_SPACES:
-            del _SPLITS[next(iter(_SPLITS))]
-        entry = _SPLITS[id(space)] = (space, {})
-    masks = entry[1]
-    splits = masks.get(mask)
-    if splits is None:
-        if len(masks) >= _SPLIT_MASKS:
-            del masks[next(iter(masks))]
-        per_axis = []
-        for groups in space.axis_groups:
-            row = []
-            for g in reversed(groups[1:]):
-                g_in: list[int] = []
-                g_out: list[int] = []
-                for f in g:
-                    (g_in if mask >> f & 1 else g_out).append(f)
-                row.append((tuple(g_in), tuple(g_out)))
-            per_axis.append(tuple(row))
-        inside = tuple([f for f in range(space.size) if mask >> f & 1])
-        splits = masks[mask] = (inside, tuple(per_axis))
-    return splits
-
-
-def _conditionals_ordered(prior: Belief, splits: tuple, sign: int) -> bool:
+def _conditionals_ordered(prior: Belief, mask: int, sign: int) -> bool:
     """With ``sign`` 1, whether ``prior|I ≤CW prior|Iᶜ``; with ``sign`` −1,
-    whether ``prior|Iᶜ ≤CW prior|I``.
+    whether ``prior|Iᶜ ≤CW prior|I``, for the set ``I`` of bitmask ``mask``.
 
     Over the common denominator ``s_in·s_out`` the conditionals put
     ``in_E·s_out`` and ``out_E·s_in`` on a projection event ``E``, where
     ``in_E`` and ``out_E`` are the prior's numerators on ``E`` in and off
-    ``I``: per-axis tail sums over the set's splits.
+    ``I``, and ``s_in``, ``s_out`` their totals.  As ``s_in + s_out`` is the
+    denominator ``D`` and ``in_E + out_E`` the prior's numerator ``all_E``
+    on ``E``, their difference is ``in_E·D − all_E·s_in``.  ``in_E`` and
+    ``all_E`` are per-axis tail sums, from the top value down, of the masked
+    and of the whole numerators over ``axis_groups``.
     """
-    get = prior.nums.__getitem__
-    inside, per_axis = splits
-    s_in = sum(map(get, inside))
-    s_out = prior.den - s_in
-    for axis in per_axis:
-        t_in = t_out = 0
-        for g_in, g_out in axis:
-            t_in += sum(map(get, g_in))
-            t_out += sum(map(get, g_out))
-            if (t_in * s_out - t_out * s_in) * sign > 0:
+    nums, den = prior.nums, prior.den
+    masked = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
+    get_in, get_all = masked.__getitem__, nums.__getitem__
+    s_in = sum(masked)
+    for groups in prior.space.axis_groups:
+        t_in = t_all = 0
+        for g in groups[:0:-1]:
+            t_in += sum(map(get_in, g))
+            t_all += sum(map(get_all, g))
+            if (t_in * den - t_all * s_in) * sign > 0:
                 return False
     return True
 
@@ -379,8 +341,8 @@ def _reduced_links(
     """Whether ``pl|I ≤CW pl|Iᶜ`` and whether ``ph|Iᶜ ≤CW ph|I``, for a
     proper identified set ``I``, read on the priors' integer numerators
     without building a conditional ``Belief``."""
-    splits = _axis_splits(identified)
-    return _conditionals_ordered(pl, splits, 1), _conditionals_ordered(ph, splits, -1)
+    mask = identified.mask
+    return _conditionals_ordered(pl, mask, 1), _conditionals_ordered(ph, mask, -1)
 
 
 def _check_conditional_reduction(
@@ -397,8 +359,8 @@ def _check_conditional_reduction(
     direct ``ql ≤CW pl`` must equal ``a ≤CW b`` and ``ph ≤CW qh`` must equal
     ``d ≤CW c``.  The direct links come from ``_posterior_link``, a table of
     suffix sums along the cover edges; the reduced ones from
-    ``_reduced_links``, per-axis tail sums split by the set.  The two sides
-    share no code.
+    ``_reduced_links``, per-axis tail sums of the numerators on the set and
+    of all of them.  The two sides share no code.
     """
     low_reduced, high_reduced = _reduced_links(pl, ph, identified)
     if low_drop.weakly_below != low_reduced or high_rise.weakly_below != high_reduced:

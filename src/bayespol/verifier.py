@@ -31,12 +31,12 @@ from .polarization import (
 
 _DEFAULT_LEVELS = (Fraction(0), Fraction(1, 2), Fraction(1))
 # Exhaustive sweeps planned to run more trials than this are refused before
-# they start.  An exhaustive trial takes about 14-26 us on 2x2 and 3x3 in the
+# they start.  An exhaustive trial takes about 12-27 us on 2x2 and 3x3 in the
 # one-shot cells and in the ST and UO limit cells, where most trials stop at
-# the first link of the chain, and 28-51 us in the CW limit cells, strong or
+# the first link of the chain, and 26-49 us in the CW limit cells, strong or
 # not, whose conditional-reduction self-check decides both posterior links
 # (2-vCPU VM, CPython 3.11, each block of 200 trials timed at its fastest of
-# five runs).  So the budget is roughly 2 to 9 minutes of sweeping.
+# five runs).  So the budget is roughly 2 to 8 minutes of sweeping.
 EXHAUSTIVE_TRIAL_BUDGET = 10**7
 
 

@@ -159,24 +159,6 @@ def test_integer_reduced_links_match_the_conditional_compares(pair):
     assert {low for low, _ in seen} == {high for _, high in seen} == {False, True}
 
 
-def test_the_split_cache_stays_bounded_and_right_after_evictions():
-    space = StateSpace.grid(3, 4)
-    rng = random.Random("split-cache")
-    pl, ph = _random_belief(rng, space, 12), _random_belief(rng, space, 12)
-    masks = range(1, space.full_mask, 3)
-    assert len(masks) > polarization._SPLIT_MASKS
-    for _ in range(2):  # the second round reads masks evicted in the first
-        for mask in masks:
-            ident = StateSubset(space, mask)
-            assert _reduced_links(pl, ph, ident) == reduced_links_by_compare(pl, ph, ident)
-        assert len(polarization._SPLITS[id(space)][1]) <= polarization._SPLIT_MASKS
-    for n in range(2, 3 + polarization._SPLIT_SPACES):
-        line = StateSpace.grid(n)
-        uniform = Belief.uniform(line)
-        _reduced_links(uniform, uniform, StateSubset(line, 1))
-    assert len(polarization._SPLITS) <= polarization._SPLIT_SPACES
-
-
 @pytest.mark.parametrize("link", ["low", "high"])
 def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
     # The direct links are the two posterior links; ``rise`` marks the high one.
