@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .bayes import LikelihoodFn, limit_posterior, update
+from .bayes import Evidence, LikelihoodFn, _posterior, _posterior_nums, limit_posterior
 from .core import (
     Belief,
     RationalLike,
@@ -103,15 +103,6 @@ class ActionMovement:
         return self.low_moves_down and self.high_moves_up
 
 
-Evidence = Union[LikelihoodFn, StateSubset]
-
-
-def _posterior(prior: Belief, evidence: Evidence) -> Belief:
-    if isinstance(evidence, LikelihoodFn):
-        return update(prior, evidence)
-    return limit_posterior(prior, evidence)
-
-
 def action_polarizes(
     u: UtilityFn, prior_low: Belief, prior_high: Belief, evidence: Evidence
 ) -> ActionMovement:
@@ -150,21 +141,6 @@ class FamilySearchOutcome:
     evidence_set: Optional[StateSubset]
     likelihood: Optional[LikelihoodFn]
     sweep: Optional[FamilySweepEvidence]
-
-
-def _posterior_nums(prior: Belief, evidence: Evidence) -> tuple[list[int], int]:
-    """Unnormalized posterior numerators and their sum: ``p·ℓ`` for a
-    likelihood, ``p`` masked to the set for limit evidence."""
-    nums = prior.nums
-    if isinstance(evidence, LikelihoodFn):
-        post = list(map(mul, nums, evidence.nums))
-    else:
-        mask = evidence.mask
-        post = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
-    total = sum(post)
-    if not total:
-        raise ValueError("zero evidence probability: the evidence rules out the prior")
-    return post, total
 
 
 def _all_basis_movements_polarize(

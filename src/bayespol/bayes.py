@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence, Union
 
 from .core import (
     Belief,
@@ -55,6 +56,8 @@ class LikelihoodFn:
 
     @staticmethod
     def indicator(space: StateSpace, subset: StateSubset) -> "LikelihoodFn":
+        if subset.space != space:
+            raise ValueError("subset lives on a different space")
         nums = tuple(1 if subset.contains_flat(f) else 0 for f in range(space.size))
         return LikelihoodFn(space, nums, 1)
 
@@ -107,6 +110,8 @@ class Signal:
         """Signal revealing which cell of a partition contains the state."""
         seen = 0
         for cell in cells:
+            if cell.space != space:
+                raise ValueError("subset lives on a different space")
             if cell.is_empty:
                 raise ValueError("empty partition cell")
             if cell.mask & seen:
@@ -155,15 +160,32 @@ class Signal:
 # ---------------------------------------------------------------------------
 
 
+# What both agents observe: one realization's likelihood (one-shot), or the
+# identified set the long run reveals (limit).
+Evidence = Union[LikelihoodFn, StateSubset]
+
+
+def _posterior_nums(prior: Belief, evidence: Evidence) -> tuple[list[int], int]:
+    """Unnormalized posterior numerators and their sum: ``p·ℓ`` for a
+    likelihood, ``p`` masked to the set for limit evidence."""
+    nums = prior.nums
+    if isinstance(evidence, LikelihoodFn):
+        post = list(map(mul, nums, evidence.nums))
+    else:
+        mask = evidence.mask
+        post = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
+    total = sum(post)
+    if not total:
+        raise ValueError("zero evidence probability: the evidence rules out the prior")
+    return post, total
+
+
 def update(prior: Belief, ell: LikelihoodFn) -> Belief:
     """One Bayes step: posterior proportional to prior times likelihood."""
     if prior.space != ell.space:
         raise ValueError("prior and likelihood live on different spaces")
-    nums = tuple([p * l for p, l in zip(prior.nums, ell.nums)])
-    total = sum(nums)
-    if total == 0:
-        raise ValueError("zero evidence probability: signal rules out the prior")
-    return Belief(prior.space, nums, total)
+    nums, total = _posterior_nums(prior, ell)
+    return Belief(prior.space, tuple(nums), total)
 
 
 def posterior_increases(prior: Belief, ell: LikelihoodFn, event: StateSubset) -> bool:
@@ -182,9 +204,9 @@ def posterior_increases(prior: Belief, ell: LikelihoodFn, event: StateSubset) ->
     direct = update(prior, ell).prob(event) > prior.prob(event)
 
     # E[l | A] > E[l]  <=>  sum_A p*l * sum_Theta p  >  sum_Theta p*l * sum_A p
-    weighted = [p * l for p, l in zip(prior.nums, ell.nums)]
+    weighted, total = _posterior_nums(prior, ell)
     lhs = sum(weighted[f] for f in flats) * prior.den
-    rhs = sum(weighted) * p_event
+    rhs = total * p_event
     by_expectation = lhs > rhs
     if direct is not by_expectation:
         raise AssertionError(
@@ -209,6 +231,13 @@ def limit_posterior(prior: Belief, identified: StateSubset) -> Belief:
     if identified.is_empty:
         raise ValueError("identified set is empty")
     return prior.condition(identified)
+
+
+def _posterior(prior: Belief, evidence: Evidence) -> Belief:
+    """``update`` on a likelihood, ``limit_posterior`` on an identified set."""
+    if isinstance(evidence, LikelihoodFn):
+        return update(prior, evidence)
+    return limit_posterior(prior, evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,13 @@ class Strictness(Enum):
     ALL_EVENTS = "all_events"
 
 
+def _check_member(field: str, value: object, enum: type[Enum]) -> None:
+    # Dispatch tests members by identity, so a bare value such as "st" would
+    # fall through every test to the last branch.
+    if not isinstance(value, enum):
+        raise ValueError(f"{field} must be a member of {enum.__name__}, got {value!r}")
+
+
 class Relation(Enum):
     STRICTLY_BELOW = "strictly_below"
     WEAKLY_BELOW = "weakly_below"
@@ -172,6 +179,7 @@ def event_family(
     cap: int = DEFAULT_UPPER_SET_CAP,
 ) -> tuple[StateSubset, ...]:
     """Proper nonempty events of the family, cached per space."""
+    _check_member("kind", kind, UpperFamilyKind)
     return tuple(StateSubset(space, m) for m in _family_masks(space, kind, cap))
 
 
@@ -396,6 +404,8 @@ def compare(
     enumerating them; the other two families are read from one table of
     orthant sums.
     """
+    _check_member("kind", kind, UpperFamilyKind)
+    _check_member("strictness", strictness, Strictness)
     space = _check_shared_space(low, high)
     lden, hden = low.den, high.den
     w = [a * hden - b * lden for a, b in zip(low.nums, high.nums)]
@@ -547,6 +557,7 @@ def product_parts(
 def in_generating_class(
     space: StateSpace, values: Sequence[Fraction], kind: UpperFamilyKind
 ) -> bool:
+    _check_member("kind", kind, UpperFamilyKind)
     vals = [frac(v) for v in values]
     if kind is UpperFamilyKind.UPPER_SET:
         return is_increasing(space, vals)
@@ -573,6 +584,7 @@ def canonical_basis(
     orthants (products of per-axis upper-interval indicators).  Coordinatewise:
     per-axis upper-interval indicators plus all their pairwise sums.
     """
+    _check_member("kind", kind, UpperFamilyKind)
     if kind is not UpperFamilyKind.UPPER_PROJECTION:
         return tuple(
             _indicator(space, m) for m in _family_masks(space, kind, cap)
@@ -618,6 +630,7 @@ def compare_by_generators(
     With the canonical basis this equals weak dominance under ``compare``.
     Basis functions must belong to the order's generating class.
     """
+    _check_member("kind", kind, UpperFamilyKind)
     space = _check_shared_space(low, high)
     for u in _generating_basis(space, kind, basis, cap):
         if low.expectation(u) > high.expectation(u):

@@ -5,33 +5,36 @@ Polarization in a given order means the chain
     posterior_low  <  prior_low  <  prior_high  <  posterior_high
 
 holds strictly, so the low agent moves down and the high agent moves up while
-the priors sit strictly ordered between them.  One-shot mode updates on a
-single likelihood; limit mode conditions on an identified set.  Reports carry
-witness events and a per-state direction table so failures are debuggable.
+the priors sit strictly ordered between them.  The evidence is a likelihood
+(one-shot mode: one Bayes update) or an identified set (limit mode: the prior
+conditioned on it).  Reports carry witness events and a per-state direction
+table so failures are debuggable.
 
-``one_shot`` and ``limit`` validate every input up front, then evaluate the
-links in chain order: ``low_drop``, the middle link, ``high_rise``.  The
-verdict stops at the first link that fails.  The two posterior links are
-decided on the integer gap vector ``compare`` would form against the
-posterior, read off the prior's numerators and the evidence, so no posterior
-``Belief`` is built for them and a miss builds none at all.  The report's
-other fields (the links the verdict did not reach, both posteriors and the
-direction table) are computed on first access and cached.
+``one_shot`` and ``limit`` validate every input up front and return a
+``PolarizationReport``, a frozen dataclass of the chain's inputs.  Making it
+settles ``low_drop`` and ``verdict``, link by link in chain order
+(``low_drop``, the middle link, ``high_rise``), and the verdict stops at the
+first link that fails.  The two posterior links are decided on the integer
+gap vector ``compare`` would form against the posterior, read off the prior's
+numerators and the evidence, so no posterior ``Belief`` is built for them and
+a miss builds none at all.  The links the verdict did not reach, both
+posteriors and the direction table are computed on first access and cached.
 """
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Union
 
-from .bayes import LikelihoodFn, limit_posterior, update
+from .bayes import Evidence, LikelihoodFn, _posterior, _posterior_nums, update
 from .core import Belief, State, StateSubset
 from .orders import (
     DominanceVerdict,
     Strictness,
     StrongCwVerdict,
     UpperFamilyKind,
+    _check_member,
     _verdict_from_gaps,
     compare,
     compare_strong_cw,
@@ -63,24 +66,6 @@ def _movement_signs(prior: Belief, posterior: Belief) -> tuple[int, ...]:
     return tuple(signs)
 
 
-_REPORT_FIELDS = (
-    "kind",
-    "mode",
-    "verdict",
-    "low_drop",
-    "prior_gap",
-    "high_rise",
-    "directions",
-    "strong_middle",
-    "strictness",
-    "posterior_low",
-    "posterior_high",
-    "identified_set",
-)
-
-_Evidence = Union[LikelihoodFn, StateSubset]
-
-
 def _middle_holds(prior_gap: Union[DominanceVerdict, StrongCwVerdict]) -> bool:
     if isinstance(prior_gap, StrongCwVerdict):
         return prior_gap.holds
@@ -88,30 +73,23 @@ def _middle_holds(prior_gap: Union[DominanceVerdict, StrongCwVerdict]) -> bool:
 
 
 def _posterior_link(
-    mode: Mode,
     kind: UpperFamilyKind,
     prior: Belief,
-    evidence: _Evidence,
+    evidence: Evidence,
     strictness: Strictness,
     rise: bool,
 ) -> DominanceVerdict:
     """``compare(posterior, prior)``, or with ``rise`` ``compare(prior,
     posterior)``, without building the posterior.
 
-    The posterior's numerators are the prior's ``n`` times the likelihood's
-    (one-shot) or masked to the identified set (limit), over their sum
+    The posterior's numerators are ``_posterior_nums``'s ``j`` over their sum
     ``t``.  So the gaps ``compare`` forms are a positive multiple of
-    ``j·D − n·t``, with ``j`` those numerators and ``D`` the prior's
-    denominator, or of its negation for the high link; the relation and
-    both witnesses come out the same.
+    ``j·D − n·t``, with ``n`` the prior's numerators and ``D`` its
+    denominator, or of its negation for the high link; the relation and both
+    witnesses come out the same.
     """
+    joint, total = _posterior_nums(prior, evidence)
     nums, den = prior.nums, prior.den
-    if mode is Mode.ONE_SHOT:
-        joint = [n * x for n, x in zip(nums, evidence.nums)]  # type: ignore[union-attr]
-    else:
-        mask = evidence.mask  # type: ignore[union-attr]
-        joint = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
-    total = sum(joint)
     if rise:
         w = [n * total - j * den for j, n in zip(joint, nums)]
     else:
@@ -119,90 +97,79 @@ def _posterior_link(
     return _verdict_from_gaps(prior.space, kind, w, strictness)
 
 
+@dataclass(frozen=True)
 class PolarizationReport:
     """One chain's verdict, its three links and the per-state directions.
 
-    ``one_shot`` and ``limit`` make reports.  ``verdict`` is settled when the
-    report is made, link by link in chain order (``low_drop``, then
-    ``prior_gap``, then ``high_rise``), and stops at the first link that
-    fails.  The posterior links are read on integer gap vectors, so making a
-    report builds no posterior.  ``prior_gap``, ``high_rise``, both
-    posteriors (by ``update`` or ``limit_posterior``) and ``directions`` are
-    computed on first access and cached; ``limit`` hands in a ``high_rise``
-    it has already worked out for its self-check.  The report is immutable;
-    ``==``, ``hash`` and ``repr`` cover the twelve fields of
-    ``_REPORT_FIELDS``, so they force the lazy ones.
+    The fields are the chain's inputs and what making the report settles:
+    ``low_drop`` (posterior_low vs prior_low) and ``verdict``, which reads
+    ``prior_gap`` and then ``high_rise`` only while the links before hold.
+    A report is a pure function of its inputs, so equal inputs give equal
+    reports.  ``prior_gap``, ``high_rise``, both posteriors (by ``update``
+    or ``limit_posterior``) and ``directions`` are computed on first access
+    and cached; ``cached_property`` writes to the instance ``__dict__``, past
+    the frozen ``__setattr__``.  ``limit`` hands in the ``high_rise`` its
+    self-check has already decided, and ``__post_init__`` caches it the same
+    way.
     """
 
     kind: UpperFamilyKind
-    mode: Mode
-    verdict: bool
-    low_drop: DominanceVerdict            # posterior_low vs prior_low
+    prior_low: Belief
+    prior_high: Belief
+    evidence: Evidence
     strong_middle: bool
     strictness: Strictness
-    identified_set: Optional[StateSubset]
+    # The cached_property below is this InitVar's class attribute, so it is
+    # also its default when no verdict is handed in.
+    high_rise: InitVar[Optional[DominanceVerdict]]
+    low_drop: DominanceVerdict = field(init=False)
+    verdict: bool = field(init=False)
 
-    def __init__(
-        self,
-        kind: UpperFamilyKind,
-        mode: Mode,
-        prior_low: Belief,
-        prior_high: Belief,
-        evidence: _Evidence,
-        strong_middle: bool,
-        strictness: Strictness,
-        low_drop: DominanceVerdict,
-        high_rise: Optional[DominanceVerdict] = None,
-    ) -> None:
-        fields = self.__dict__
-        fields.update(
-            kind=kind,
-            mode=mode,
-            strong_middle=strong_middle,
-            strictness=strictness,
-            identified_set=evidence if mode is Mode.LIMIT else None,
-            low_drop=low_drop,
-            _prior_low=prior_low,
-            _prior_high=prior_high,
-            _evidence=evidence,
+    def __post_init__(self, high_rise: Optional[DominanceVerdict]) -> None:
+        cache = self.__dict__
+        if isinstance(high_rise, DominanceVerdict):
+            cache["high_rise"] = high_rise
+        cache["low_drop"] = low_drop = _posterior_link(
+            self.kind, self.prior_low, self.evidence, self.strictness, False
         )
-        if high_rise is not None:
-            fields["high_rise"] = high_rise
-        fields["verdict"] = (
+        cache["verdict"] = (
             low_drop.strictly_below
             and _middle_holds(self.prior_gap)
             and self.high_rise.strictly_below
         )
 
+    @property
+    def mode(self) -> Mode:
+        return Mode.ONE_SHOT if isinstance(self.evidence, LikelihoodFn) else Mode.LIMIT
+
+    @property
+    def identified_set(self) -> Optional[StateSubset]:
+        return None if isinstance(self.evidence, LikelihoodFn) else self.evidence
+
     @cached_property
     def prior_gap(self) -> Union[DominanceVerdict, StrongCwVerdict]:
         if self.strong_middle:
-            return compare_strong_cw(self._prior_low, self._prior_high)
-        return compare(self._prior_low, self._prior_high, self.kind, self.strictness)
+            return compare_strong_cw(self.prior_low, self.prior_high)
+        return compare(self.prior_low, self.prior_high, self.kind, self.strictness)
 
     @cached_property
     def high_rise(self) -> DominanceVerdict:
         """prior_high vs posterior_high"""
         return _posterior_link(
-            self.mode, self.kind, self._prior_high, self._evidence, self.strictness, True
+            self.kind, self.prior_high, self.evidence, self.strictness, True
         )
-
-    def _posterior(self, prior: Belief) -> Belief:
-        if self.mode is Mode.ONE_SHOT:
-            return update(prior, self._evidence)
-        return limit_posterior(prior, self._evidence)
 
     @cached_property
     def posterior_low(self) -> Belief:
-        return self._posterior(self._prior_low)
+        return _posterior(self.prior_low, self.evidence)
 
     @cached_property
     def posterior_high(self) -> Belief:
-        return self._posterior(self._prior_high)
+        return _posterior(self.prior_high, self.evidence)
 
     @cached_property
     def directions(self) -> DirectionTable:
-        pl, ph = self._prior_low, self._prior_high
+        pl, ph = self.prior_low, self.prior_high
         return DirectionTable(
             pl.space.states,
             _movement_signs(pl, self.posterior_low),
@@ -217,27 +184,6 @@ class PolarizationReport:
             "high_rise": self.high_rise.strictly_below,
         }
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()  # type: ignore[attr-defined]
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPORT_FIELDS)
-        return f"{type(self).__name__}({body})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
 
 def one_shot(
     kind: UpperFamilyKind,
@@ -247,21 +193,16 @@ def one_shot(
     strictness: Strictness = Strictness.ONE_EVENT,
 ) -> PolarizationReport:
     """Polarization verdict after both agents observe one realization."""
+    _check_member("kind", kind, UpperFamilyKind)
+    _check_member("strictness", strictness, Strictness)
     if not (prior_low.full_support and prior_high.full_support):
         raise ValueError("one-shot polarization requires full-support priors")
     # No posterior is built here, so check what building them would: both
-    # priors live on the likelihood's space, and with full support the
-    # evidence has positive probability unless the likelihood is all zero.
-    if prior_low.space != ell.space:
+    # priors live on the likelihood's space.  A likelihood that rules them
+    # out is refused by the low link.
+    if prior_low.space != ell.space or prior_high.space != ell.space:
         raise ValueError("prior and likelihood live on different spaces")
-    if not any(ell.nums):
-        raise ValueError("zero evidence probability: signal rules out the prior")
-    if prior_high.space != ell.space:
-        raise ValueError("prior and likelihood live on different spaces")
-    low_drop = _posterior_link(Mode.ONE_SHOT, kind, prior_low, ell, strictness, False)
-    return PolarizationReport(
-        kind, Mode.ONE_SHOT, prior_low, prior_high, ell, False, strictness, low_drop
-    )
+    return PolarizationReport(kind, prior_low, prior_high, ell, False, strictness)
 
 
 def limit(
@@ -278,6 +219,8 @@ def limit(
     dominance between the priors (the strong polarization notion); ``kind``
     must then be the coordinatewise order.
     """
+    _check_member("kind", kind, UpperFamilyKind)
+    _check_member("strictness", strictness, Strictness)
     if not (prior_low.full_support and prior_high.full_support):
         raise ValueError("limit polarization requires full-support priors")
     if identified.is_empty:
@@ -286,26 +229,19 @@ def limit(
         raise ValueError("strong middle link is defined for the coordinatewise order")
     if prior_low.space != identified.space or prior_high.space != identified.space:
         raise ValueError("subset lives on a different space")
-    low_drop = _posterior_link(Mode.LIMIT, kind, prior_low, identified, strictness, False)
     high_rise = None
     if kind is UpperFamilyKind.UPPER_PROJECTION and identified.is_proper:
         # The self-check reads the high link on every trial, so the report
         # gets it as it is rather than through its lazy field.
-        high_rise = _posterior_link(
-            Mode.LIMIT, kind, prior_high, identified, strictness, True
-        )
-        _check_conditional_reduction(prior_low, prior_high, identified, low_drop, high_rise)
-    return PolarizationReport(
-        kind,
-        Mode.LIMIT,
-        prior_low,
-        prior_high,
-        identified,
-        strong_middle,
-        strictness,
-        low_drop,
-        high_rise,
+        high_rise = _posterior_link(kind, prior_high, identified, strictness, True)
+    report = PolarizationReport(
+        kind, prior_low, prior_high, identified, strong_middle, strictness, high_rise
     )
+    if high_rise is not None:
+        _check_conditional_reduction(
+            prior_low, prior_high, identified, report.low_drop, high_rise
+        )
+    return report
 
 
 def _conditionals_ordered(prior: Belief, mask: int, sign: int) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from .bayes import LikelihoodFn
 from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
-from .orders import UpperFamilyKind, _strong_cw_failure, compare_strong_cw
+from .orders import UpperFamilyKind, _check_member, _strong_cw_failure, compare_strong_cw
 from .polarization import (
     Mode,
     PolarizationReport,
@@ -70,6 +70,8 @@ class SweepConfig:
     identified_set: Optional[tuple[State, ...]] = None
 
     def __post_init__(self) -> None:
+        _check_member("kind", self.kind, UpperFamilyKind)
+        _check_member("mode", self.mode, Mode)
         if not isinstance(self.dims, tuple) or not self.dims:
             raise ValueError(f"dims must be a nonempty tuple of axis sizes, got {self.dims!r}")
         for k, n in enumerate(self.dims):
@@ -88,8 +90,15 @@ class SweepConfig:
                 f"denominator_bound {self.denominator_bound} admits no full-support"
                 f" prior on {states} states"
             )
-        if self.identified_set is not None and self.mode is not Mode.LIMIT:
-            raise ValueError("identified_set pins limit evidence; mode must be limit")
+        if self.identified_set is not None:
+            if self.mode is not Mode.LIMIT:
+                raise ValueError("identified_set pins limit evidence; mode must be limit")
+            try:
+                pinned = StateSubset.from_states(self.space, self.identified_set)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"identified_set: {exc}") from None
+            if pinned.is_empty:
+                raise ValueError("identified_set is empty")
         if self.mass_bound < 1:
             raise ValueError(f"mass_bound must be at least 1, got {self.mass_bound}")
         try:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import strategies as st
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 from bayespol import (
     Belief,
     LikelihoodFn,
-    PolarizationReport,
     StateSpace,
     StateSubset,
     UpperFamilyKind,
@@ -157,12 +157,30 @@ def reduced_links_by_compare(prior_low, prior_high, identified):
     return low, high
 
 
+# The chain fields a report exposes, settled or cached.
+CHAIN_FIELDS = (
+    "kind",
+    "mode",
+    "verdict",
+    "low_drop",
+    "prior_gap",
+    "high_rise",
+    "directions",
+    "strong_middle",
+    "strictness",
+    "posterior_low",
+    "posterior_high",
+    "identified_set",
+)
+
+
 def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, identified=None):
-    """The report of the chain ``ql < pl < ph < qh``, every link up front.
+    """The chain ``ql < pl < ph < qh``, every link up front, as a namespace
+    of ``CHAIN_FIELDS`` and ``checks``.
 
     The slow path the lazy report replaced: all three links and the direction
-    table are worked out before the verdict.  Every field is set on the
-    instance, so none of the report's lazy code runs.
+    table are worked out before the verdict, and none of the report's code
+    runs.
     """
     low_drop = compare(ql, pl, kind, strictness)
     if strong_middle:
@@ -172,11 +190,16 @@ def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, 
         prior_gap = compare(pl, ph, kind, strictness)
         middle_ok = prior_gap.strictly_below
     high_rise = compare(ph, qh, kind, strictness)
-    report = object.__new__(PolarizationReport)
-    report.__dict__.update(
+    checks = {
+        "low_drop": low_drop.strictly_below,
+        "prior_gap": middle_ok,
+        "high_rise": high_rise.strictly_below,
+    }
+    return SimpleNamespace(
+        checks=checks,
         kind=kind,
         mode=mode,
-        verdict=low_drop.strictly_below and middle_ok and high_rise.strictly_below,
+        verdict=all(checks.values()),
         low_drop=low_drop,
         prior_gap=prior_gap,
         high_rise=high_rise,
@@ -189,4 +212,3 @@ def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, 
         posterior_high=qh,
         identified_set=identified,
     )
-    return report

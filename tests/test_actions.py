@@ -26,7 +26,8 @@ from bayespol import (
     find_one_shot_orthant_instance,
     tradeoff_curve,
 )
-from bayespol.actions import _all_basis_movements_polarize, _posterior
+from bayespol.actions import _all_basis_movements_polarize
+from bayespol.bayes import _posterior
 from bayespol.core import over_common_denominator
 from bayespol.verifier import _random_belief, _random_likelihood, _trials
 

@@ -8,6 +8,7 @@ from bayespol import (
     Belief,
     LikelihoodFn,
     Signal,
+    StateSpace,
     StateSubset,
     identified_set,
     limit,
@@ -17,11 +18,13 @@ from bayespol import (
     update,
     UpperFamilyKind,
 )
+from bayespol.bayes import _posterior, _posterior_nums
 
 from conftest import (
     CORNER_LIKELIHOOD,
     DIAGONAL,
     GRID_2X2,
+    GRID_2X3,
     MIRROR_HIGH,
     MIRROR_LOW,
     beliefs,
@@ -101,7 +104,45 @@ def test_posterior_increase_self_check_never_fires(prior, ell, event):
     posterior_increases(prior, ell, event)
 
 
+@given(beliefs(GRID_2X3), likelihoods(GRID_2X3), subsets(GRID_2X3, proper=False))
+def test_posterior_nums_are_every_posteriors_numerators(prior, ell, subset):
+    # priors without full support, so the evidence can also rule them out
+    cases = [
+        (ell, (update,), sum(p * x for p, x in zip(prior.nums, ell.nums))),
+        (subset, (limit_posterior, Belief.condition), prior.num_on(subset.flats())),
+    ]
+    for evidence, builders, probability in cases:
+        if not probability:
+            with pytest.raises(ValueError, match="zero evidence probability"):
+                _posterior_nums(prior, evidence)
+            for build in builders:
+                with pytest.raises(ValueError):
+                    build(prior, evidence)
+            continue
+        nums, total = _posterior_nums(prior, evidence)
+        assert total == sum(nums)
+        masses = tuple(F(n, total) for n in nums)
+        for build in builders:
+            assert build(prior, evidence).masses() == masses
+        assert _posterior(prior, evidence) == builders[0](prior, evidence)
+
+
 # -- signals and identified sets ---------------------------------------------
+
+
+def test_evidence_from_a_subset_of_another_space_is_refused():
+    grid = StateSpace.grid(3, 3)
+    with pytest.raises(ValueError, match="subset lives on a different space"):
+        LikelihoodFn.indicator(grid, StateSubset(GRID_2X2, 0b1001))
+    # same shape, other axis labels: the masks cover the grid, the space differs
+    other = StateSpace.make([[0, 1], [0, 2]])
+    for cells in (
+        [StateSubset(other, 0b1001), StateSubset(other, 0b0110)],
+        [DIAGONAL, StateSubset(other, 0b0110)],
+    ):
+        with pytest.raises(ValueError, match="subset lives on a different space"):
+            Signal.partitional(GRID_2X2, cells)
+    assert Signal.partitional(GRID_2X2, [DIAGONAL, DIAGONAL.complement()])
 
 
 def test_signal_rows_must_sum_to_one():

@@ -138,6 +138,25 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert out2["final_tv_to_limit"] == out["final_tv_to_limit"]
 
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def test_readme_simulate_example_runs_the_noisy_diagonal_scenario(tmp_path, capsys):
+    table = tmp_path / "traj.tsv"
+    code, doc = _run_json(
+        capsys,
+        ["simulate", str(SCENARIOS / "noisy-diagonal-2x2.json"), "--horizon", "500",
+         "--seed", "7", "--table", str(table)],
+    )
+    assert code == 0
+    assert doc["seed"] == 7
+    assert doc["identified_set"] == [[0, 0], [1, 1]]
+    lines = table.read_text().strip().split("\n")
+    assert lines[0].split("\t")[:3] == ["t", "realization", "tv_to_limit"]
+    assert len(lines) == 1 + 501
+    assert [line.split("\t")[0] for line in lines[1:]] == [str(t) for t in range(501)]
+
+
 def test_sweep_subcommand(capsys):
     code, doc = _run_json(
         capsys,

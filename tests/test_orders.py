@@ -11,16 +11,21 @@ from bayespol import (
     Belief,
     CapExceededError,
     DominanceVerdict,
+    LikelihoodFn,
+    Mode,
     Relation,
     StateSpace,
     StateSubset,
     Strictness,
+    SweepConfig,
     UpperFamilyKind,
     compare,
     compare_by_generators,
     compare_strong_cw,
     event_family,
     leq,
+    limit,
+    one_shot,
 )
 from bayespol.orders import (
     DEFAULT_UPPER_SET_CAP,
@@ -30,6 +35,7 @@ from bayespol.orders import (
     _upper_set_masks,
     additive_parts,
     canonical_basis,
+    in_generating_class,
     is_increasing,
     product_parts,
 )
@@ -566,3 +572,45 @@ def test_family_caches_are_bounded():
     for cached in (_family_masks, canonical_basis):
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+# -- enum arguments ---------------------------------------------------------------
+
+_HALF = LikelihoodFn(GRID_2X2, (1, 1, 1, 1), 2)
+
+# (entry point called with one non-enum value, the field the error names)
+NON_MEMBER_CALLS = [
+    (lambda: compare(MIRROR_LOW, MIRROR_HIGH, "st"), "kind"),
+    (lambda: compare(MIRROR_LOW, MIRROR_HIGH, ST, "one_event"), "strictness"),
+    (lambda: event_family(GRID_2X2, "uo"), "kind"),
+    (lambda: canonical_basis(GRID_2X2, "cw"), "kind"),
+    (lambda: compare_by_generators(MIRROR_LOW, MIRROR_HIGH, "uo"), "kind"),
+    (lambda: compare_by_generators(MIRROR_LOW, MIRROR_HIGH, "uo", [(0, 0, 0, 1)]), "kind"),
+    (lambda: in_generating_class(GRID_2X2, (0, 0, 0, 1), "st"), "kind"),
+    (lambda: one_shot("st", MIRROR_LOW, MIRROR_HIGH, _HALF), "kind"),
+    (lambda: one_shot(ST, MIRROR_LOW, MIRROR_HIGH, _HALF, "one_event"), "strictness"),
+    (lambda: limit("cw", MIRROR_LOW, MIRROR_HIGH, DIAGONAL), "kind"),
+    (lambda: limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL, False, "all_events"), "strictness"),
+    (lambda: SweepConfig("st", Mode.LIMIT, (2, 2)), "kind"),
+    (lambda: SweepConfig(ST, "oneshot", (2, 2)), "mode"),
+    (lambda: SweepConfig(ST, None, (2, 2)), "mode"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,field",
+    NON_MEMBER_CALLS,
+    ids=[
+        "compare-kind", "compare-strictness", "event_family", "canonical_basis",
+        "compare_by_generators", "compare_by_generators-basis", "in_generating_class",
+        "one_shot-kind",
+        "one_shot-strictness", "limit-kind", "limit-strictness", "sweep-kind",
+        "sweep-mode", "sweep-mode-none",
+    ],
+)
+def test_non_enum_values_are_refused_by_name(call, field):
+    # Dispatch tests enum members by identity: "st" used to run the
+    # coordinatewise branch, "uo" to list the upper sets, "one_event" to mean
+    # ALL_EVENTS and a "oneshot" sweep to run limit trials.
+    with pytest.raises(ValueError, match=f"^{field} must be a member of "):
+        call()

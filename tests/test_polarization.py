@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -18,13 +19,14 @@ from bayespol import (
     one_shot,
     posterior_increases,
 )
-from bayespol import Mode, Strictness, limit_posterior, polarization, update
+from bayespol import Mode, PolarizationReport, Strictness, limit_posterior, polarization, update
 from bayespol.construct import mirror_extremes_instance, mirror_extremes_threshold
 from bayespol.orders import DominanceVerdict, Relation
-from bayespol.polarization import _REPORT_FIELDS, _reduced_links
+from bayespol.polarization import _reduced_links
 from bayespol.verifier import _random_belief, _random_likelihood, _random_strong_pair
 
 from conftest import (
+    CHAIN_FIELDS,
     CORNER_LIKELIHOOD,
     DIAGONAL,
     GRID_2X2,
@@ -164,8 +166,8 @@ def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
     # The direct links are the two posterior links; ``rise`` marks the high one.
     real = polarization._posterior_link
 
-    def flipped(mode, kind, prior, evidence, strictness, rise):
-        verdict = real(mode, kind, prior, evidence, strictness, rise)
+    def flipped(kind, prior, evidence, strictness, rise):
+        verdict = real(kind, prior, evidence, strictness, rise)
         if rise != (link == "high"):
             return verdict
         if verdict.weakly_below:
@@ -249,14 +251,9 @@ def test_lazy_reports_match_the_eager_chain(space):
                     lazy = make()
                     # the verdict first, as a sweep reads it
                     assert lazy.verdict == eager.verdict
-                    for name in _REPORT_FIELDS:
+                    for name in CHAIN_FIELDS:
                         assert getattr(lazy, name) == getattr(eager, name), name
                     assert lazy.checks == eager.checks
-                    # fresh reports, so == and hash force the lazy fields
-                    assert make() == eager and eager == make()
-                    assert hash(make()) == hash(eager)
-                    # the hash a frozen dataclass of the twelve fields had
-                    assert hash(make()) == hash(tuple(getattr(eager, n) for n in _REPORT_FIELDS))
                     outcomes.add(_first_failing_link(eager))
     # the verdict stops at each link, and passes all three, somewhere
     assert outcomes == {"low_drop", "prior_gap", "high_rise", None}
@@ -358,12 +355,13 @@ def test_the_middle_link_alone_can_fail_the_verdict():
     for lazy, expected in ((report, eager), (limit_report, limit_eager)):
         assert not lazy.verdict
         assert lazy.checks == {"low_drop": True, "prior_gap": False, "high_rise": True}
-        assert lazy == expected
+        for name in CHAIN_FIELDS:
+            assert getattr(lazy, name) == getattr(expected, name), name
 
 
 def test_a_one_shot_miss_at_the_low_link_takes_one_compare(monkeypatch):
     # Links are the two posterior links and the middle compare; posteriors
-    # come from update or limit_posterior.
+    # come from bayes._posterior (update or limit_posterior).
     links, posteriors = [], []
 
     def counting(fn, calls):
@@ -375,8 +373,9 @@ def test_a_one_shot_miss_at_the_low_link_takes_one_compare(monkeypatch):
 
     for name in ("_posterior_link", "compare"):
         monkeypatch.setattr(polarization, name, counting(getattr(polarization, name), links))
-    for name in ("update", "limit_posterior"):
-        monkeypatch.setattr(polarization, name, counting(getattr(polarization, name), posteriors))
+    monkeypatch.setattr(
+        polarization, "_posterior", counting(polarization._posterior, posteriors)
+    )
     report = one_shot(ST, MIRROR_LOW, MIRROR_HIGH, CORNER_LIKELIHOOD)
     assert not report.verdict
     assert links == ["_posterior_link"] and posteriors == []
@@ -388,10 +387,10 @@ def test_a_one_shot_miss_at_the_low_link_takes_one_compare(monkeypatch):
     assert posteriors == []
     # each posterior is built once, when a field reads it
     assert report.posterior_low == update(MIRROR_LOW, CORNER_LIKELIHOOD)
-    assert posteriors == ["update"]
+    assert posteriors == ["_posterior"]
     report.directions
     report.posterior_high
-    assert posteriors == ["update", "update"]
+    assert posteriors == ["_posterior", "_posterior"]
     assert len(links) == 3
 
 
@@ -467,6 +466,68 @@ def test_reports_that_differ_only_past_the_low_link_are_unequal():
         a.verdict = True
     with pytest.raises(AttributeError):
         a.high_rise = a.low_drop
+
+
+def test_report_fields_are_its_inputs_and_what_it_settles():
+    names = [f.name for f in dataclasses.fields(PolarizationReport)]
+    assert names == [
+        "kind", "prior_low", "prior_high", "evidence", "strong_middle", "strictness",
+        "low_drop", "verdict",
+    ]
+    settled = {f.name for f in dataclasses.fields(PolarizationReport) if not f.init}
+    assert settled == {"low_drop", "verdict"}
+
+
+def _copy(belief):
+    # equal to ``belief``, but not the same object
+    return Belief(belief.space, tuple(belief.nums), belief.den)
+
+
+def test_reports_from_equal_inputs_are_equal_and_hash_equal():
+    ell = LikelihoodFn(GRID_2X2, CORNER_LIKELIHOOD.nums, CORNER_LIKELIHOOD.den)
+    makers = [
+        lambda low, high: one_shot(CW, low, high, CORNER_LIKELIHOOD),
+        lambda low, high: one_shot(CW, low, high, ell, Strictness.ALL_EVENTS),
+        lambda low, high: limit(CW, low, high, DIAGONAL),
+        lambda low, high: limit(CW, low, high, StateSubset(GRID_2X2, DIAGONAL.mask), True),
+        lambda low, high: limit(UO, low, high, DIAGONAL.complement()),
+    ]
+    reports = []
+    for make in makers:
+        a = make(MIRROR_LOW, MIRROR_HIGH)
+        b = make(_copy(MIRROR_LOW), _copy(MIRROR_HIGH))
+        # one of them with every cached field forced first
+        for name in CHAIN_FIELDS:
+            getattr(a, name)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        reports.append(a)
+    # and reports from different inputs differ
+    assert len(set(reports)) == len(reports)
+
+
+def test_mode_and_identified_set_are_read_off_the_evidence():
+    report = one_shot(CW, MIRROR_LOW, MIRROR_HIGH, CORNER_LIKELIHOOD)
+    assert (report.mode, report.identified_set) == (Mode.ONE_SHOT, None)
+    assert report.evidence == CORNER_LIKELIHOOD
+    report = limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+    assert (report.mode, report.identified_set) == (Mode.LIMIT, DIAGONAL)
+    assert report.evidence == DIAGONAL
+
+
+def test_assigning_any_report_attribute_raises():
+    report = limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+    names = [f.name for f in dataclasses.fields(report)]
+    names += [*CHAIN_FIELDS, "checks", "undeclared"]
+    for forced in (False, True):
+        if forced:
+            for name in CHAIN_FIELDS:
+                getattr(report, name)
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(report, name)
+    assert report.verdict and report.posterior_low.masses() == (F(3, 4), 0, 0, F(1, 4))
 
 
 # -- direction analysis --------------------------------------------------------

@@ -175,6 +175,20 @@ def test_integer_fields_refuse_other_types_by_name(field, value, named):
         SweepConfig(**fields)
 
 
+@pytest.mark.parametrize(
+    "pinned,message",
+    [
+        (((5, 5),), "identified_set: state (5, 5) out of bounds"),
+        (((0, 0), (1, 2)), "identified_set: state (1, 2) out of bounds"),
+        ((), "identified_set is empty"),
+    ],
+)
+def test_a_pinned_identified_set_is_checked_when_the_config_is_made(pinned, message):
+    # both used to fail only at the sweep's first trial, without the field name
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SweepConfig(CW, Mode.LIMIT, (2, 2), identified_set=pinned)
+
+
 def test_likelihood_levels_refuse_booleans():
     for levels in ((False, True), (0, True), (F(1, 2), False)):
         with pytest.raises(ValueError, match="likelihood_levels.*bool"):
