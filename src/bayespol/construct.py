@@ -24,7 +24,13 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bayes import LikelihoodFn
-from .classifier import antichain_dominates, classify, max_set, min_set
+from .classifier import (
+    _dominance_failure,
+    antichain_dominates,
+    classify,
+    max_set,
+    min_set,
+)
 from .core import Belief, State, StateSpace, StateSubset, frac
 from .orders import Relation, Strictness, UpperFamilyKind, compare, compare_strong_cw
 from .polarization import PolarizationReport, limit, one_shot
@@ -284,11 +290,12 @@ def _conditional_pieces(
     Returns (low on a, high on b, low on c, high on d) plus half the minimal
     cdf gap across the three strong relations that must hold among them.
     """
-    for pair in ((a_set, b_set), (a_set, c_set), (d_set, b_set)):
-        verdict = antichain_dominates(space, *pair)
-        if not verdict.holds:
+    for low, high in ((a_set, b_set), (a_set, c_set), (d_set, b_set)):
+        failure = _dominance_failure(space, low.mask, high.mask)
+        if failure is not None:
             raise AssertionError(
-                f"internal error: expected antichain dominance, got {verdict}"
+                f"internal error: expected antichain dominance of {high!r} over"
+                f" {low!r}, failed on {failure}"
             )
 
     full_box = (space.bottom, space.top)

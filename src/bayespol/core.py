@@ -142,6 +142,11 @@ class StateSpace:
         return self._full_mask  # type: ignore[attr-defined]
 
     def flat(self, state: State) -> int:
+        if len(state) != self.ndim:
+            raise ValueError(
+                f"state {state} has length {len(state)}, but shape {self.shape}"
+                f" has {self.ndim} axes"
+            )
         for i, n in zip(state, self.shape):
             if not 0 <= i < n:
                 raise ValueError(f"state {state} out of bounds for shape {self.shape}")

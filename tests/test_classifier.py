@@ -1,6 +1,6 @@
 import hashlib
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -14,7 +14,15 @@ from bayespol import (
     max_set,
     min_set,
 )
-from bayespol.classifier import compensatory_pivot, compensatory_pivot_dual, is_spanning
+from bayespol import leq, ll
+from bayespol.classifier import (
+    _biased_down_pivot,
+    _biased_up_pivot,
+    _dominance_failure,
+    compensatory_pivot,
+    compensatory_pivot_dual,
+    is_spanning,
+)
 
 from conftest import DIAGONAL, GRID_2X2, GRID_3X3, OFF_DIAGONAL
 
@@ -152,6 +160,73 @@ def test_compensatory_dual_form_agrees_exhaustively(shape):
         )
 
 
+def _brute_force_scans(space):
+    """The four pivot scans straight from the definitions on states.
+
+    Each scan lists its candidate pivots in flat order with the states that
+    must be members and the states that must not; a subset's pivot is the
+    first candidate whose two lists it satisfies.
+    """
+    states, bottom, top = space.states, space.bottom, space.top
+
+    def rows(candidates, inside, outside):
+        return [
+            (p, [s for s in states if inside(s, p)], [s for s in states if outside(s, p)])
+            for p in states
+            if candidates(p)
+        ]
+
+    never = lambda s, p: False  # noqa: E731
+    return {
+        _biased_down_pivot: rows(
+            lambda p: ll(bottom, p), lambda s, p: ll(s, p), lambda s, p: leq(p, s)
+        ),
+        _biased_up_pivot: rows(
+            lambda p: ll(p, top), lambda s, p: ll(p, s), lambda s, p: leq(s, p)
+        ),
+        compensatory_pivot: rows(
+            lambda p: ll(p, top), never, lambda s, p: leq(s, p) or ll(p, s)
+        ),
+        compensatory_pivot_dual: rows(
+            lambda p: ll(bottom, p), never, lambda s, p: leq(p, s) or ll(s, p)
+        ),
+    }
+
+
+def _first_pivot_by_states(rows, members):
+    return next(
+        (
+            p
+            for p, inside, outside in rows
+            if members.issuperset(inside) and members.isdisjoint(outside)
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_pivot_scans_match_the_state_definitions(shape):
+    space = StateSpace.grid(*shape)
+    scans = _brute_force_scans(space)
+    for mask in range(1, space.full_mask):
+        subset = StateSubset(space, mask)
+        members = set(subset.states())
+        for scan, rows in scans.items():
+            expected = _first_pivot_by_states(rows, members)
+            assert scan(subset) == expected, (shape, mask, scan.__name__)
+
+
+def test_pivot_tables_are_keyed_on_the_shape_alone():
+    # same shape as 3x4, other axis values: every verdict and pivot is the same
+    labelled = StateSpace.make([(0, "1/2", 5), (-1, 3, 7, 8)])
+    grid = StateSpace.grid(3, 4)
+    for mask in range(1, grid.full_mask):
+        a = classify(labelled, StateSubset(labelled, mask))
+        b = classify(grid, StateSubset(grid, mask))
+        assert a.identified_set.mask == b.identified_set.mask == mask
+        assert a == replace(b, identified_set=a.identified_set), mask
+
+
 # -- antichain dominance ---------------------------------------------------------
 
 
@@ -192,6 +267,42 @@ def test_bottom_corner_below_off_diagonal():
         GRID_2X2, _subset(GRID_2X2, (0, 0)), OFF_DIAGONAL
     )
     assert verdict.holds
+
+
+def _dominance_by_states(space, low, high, compensatory_rows):
+    """The first failed dominance condition and its pivot, from the states."""
+    lows, highs = set(low.states()), set(high.states())
+    if lows & highs:
+        return "disjoint", None
+    for axis, n in enumerate(space.shape):
+        if not any(s[axis] == 0 for s in lows):
+            return f"low misses minimal value on axis {axis}", None
+        if not any(s[axis] == n - 1 for s in highs):
+            return f"high misses maximal value on axis {axis}", None
+    pivot = _first_pivot_by_states(compensatory_rows, lows | highs)
+    return None if pivot is None else ("union is compensatory", pivot)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4)])
+def test_the_mask_dominance_test_matches_antichain_dominates(shape):
+    space = StateSpace.grid(*shape)
+    compensatory_rows = _brute_force_scans(space)[compensatory_pivot]
+    antichains = [
+        StateSubset(space, mask)
+        for mask in range(1, space.full_mask + 1)
+        if is_antichain(StateSubset(space, mask))
+    ]
+    for low in antichains:
+        for high in antichains:
+            expected = _dominance_by_states(space, low, high, compensatory_rows)
+            failure = _dominance_failure(space, low.mask, high.mask)
+            if failure is not None:
+                condition, pivot = failure
+                failure = condition, None if pivot is None else space.state_at(pivot)
+            assert failure == expected, (low, high)
+            verdict = antichain_dominates(space, low, high)
+            assert verdict.holds == (expected is None), (low, high)
+            assert (verdict.failed_condition, verdict.pivot) == (expected or (None, None))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])

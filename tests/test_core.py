@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,22 @@ def test_row_major_state_order():
     assert space.flat((1, 2)) == 5
     assert space.state_at(3) == (1, 0)
     assert space.bottom == (0, 0) and space.top == (1, 2)
+
+
+@pytest.mark.parametrize("state", [(1,), (1, 1, 5), ()])
+def test_a_state_of_the_wrong_length_is_refused_everywhere(state):
+    # flat used to zip the state with the shape: (1,) read as 2, (1, 1, 5) as 3
+    space = StateSpace.grid(2, 2)
+    named = f"state {state} has length {len(state)}, but shape (2, 2) has 2 axes"
+    calls = [
+        lambda: space.flat(state),
+        lambda: StateSubset.from_states(space, [(0, 0), state]),
+        lambda: state in StateSubset.full(space),
+        lambda: Belief.uniform(space).mass(state),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            call()
 
 
 def test_coords_and_partial_order():

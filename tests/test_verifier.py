@@ -181,6 +181,10 @@ def test_integer_fields_refuse_other_types_by_name(field, value, named):
         (((5, 5),), "identified_set: state (5, 5) out of bounds"),
         (((0, 0), (1, 2)), "identified_set: state (1, 2) out of bounds"),
         ((), "identified_set is empty"),
+        (
+            ((1,),),
+            "identified_set: state (1,) has length 1, but shape (2, 2) has 2 axes",
+        ),
     ],
 )
 def test_a_pinned_identified_set_is_checked_when_the_config_is_made(pinned, message):
