@@ -228,8 +228,7 @@ def family_polarization_search(
     )
     start = time.perf_counter()
     hits: list[dict] = []
-    for pl, ph, ell, ident in _trials(config, space):
-        evidence = ell if ident is None else ident
+    for pl, ph, evidence in _trials(config, space):
         if _all_basis_movements_polarize(funcs, pl, ph, evidence):
             hits.append(
                 {

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import UtilityFamilyKind, tradeoff_curve
+from .actions import UtilityFamilyKind, UtilityFn, tradeoff_curve
 from .bayes import LikelihoodFn, Signal, identified_set, simulate, update
 from .classifier import ClassificationReport, classify
 from .construct import build_polarizing_priors
@@ -87,8 +87,7 @@ class Scenario:
     signal: Optional[Signal] = None
     identified: Optional[StateSubset] = None
     truth: Optional[tuple[int, ...]] = None
-    utility: Optional[tuple[Fraction, ...]] = None
-    utility_family: Optional[UtilityFamilyKind] = None
+    utility: Optional[UtilityFn] = None
 
 
 def _parse_fraction(raw, field: str) -> Fraction:
@@ -220,12 +219,15 @@ def parse_scenario(doc: dict) -> Scenario:
             raise ScenarioError(f"field 'truth': {exc}") from exc
     if "utility" in doc:
         values = _parse_mass_vector(doc["utility"], "utility", space)
-        sc.utility = tuple(values)
         family = doc.get("utility_family", "increasing")
         try:
-            sc.utility_family = UtilityFamilyKind(family)
+            kind = UtilityFamilyKind(family)
         except ValueError as exc:
             raise ScenarioError(f"field 'utility_family': unknown family {family!r}") from exc
+        try:
+            sc.utility = UtilityFn(space, tuple(values), kind)
+        except ValueError as exc:
+            raise ScenarioError(f"field 'utility': {exc}") from exc
     return sc
 
 
@@ -255,8 +257,8 @@ def scenario_to_doc(sc: Scenario) -> dict:
     if sc.truth is not None:
         doc["truth"] = list(sc.truth)
     if sc.utility is not None:
-        doc["utility"] = _rationals(sc.utility)
-        doc["utility_family"] = sc.utility_family.value
+        doc["utility"] = _rationals(sc.utility.values)
+        doc["utility_family"] = sc.utility.kind.value
     return doc
 
 
@@ -470,20 +472,16 @@ def _cmd_sweep(sc_unused, args) -> tuple[dict, Optional[Table]]:
         "counterexamples_found": len(report.counterexamples),
         "counterexamples": [
             {
-                "prior_low": _rationals(hit.prior_low.masses()),
-                "prior_high": _rationals(hit.prior_high.masses()),
+                "prior_low": _rationals(rep.prior_low.masses()),
+                "prior_high": _rationals(rep.prior_high.masses()),
                 "likelihood": (
-                    _rationals(hit.likelihood.values())
-                    if hit.likelihood is not None
-                    else None
+                    _rationals(rep.evidence.values()) if rep.mode is Mode.ONE_SHOT else None
                 ),
                 "identified_set": (
-                    _indices(hit.identified_set.states())
-                    if hit.identified_set is not None
-                    else None
+                    _indices(rep.evidence.states()) if rep.mode is Mode.LIMIT else None
                 ),
             }
-            for hit in report.counterexamples[:100]
+            for rep in (hit.report for hit in report.counterexamples[:100])
         ],
         "elapsed_s": report.elapsed,
         "table": [row],

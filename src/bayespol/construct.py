@@ -32,7 +32,7 @@ from .classifier import (
     min_set,
 )
 from .core import Belief, State, StateSpace, StateSubset, frac
-from .orders import Relation, Strictness, UpperFamilyKind, compare, compare_strong_cw
+from .orders import Strictness, UpperFamilyKind, compare_strong_cw
 from .polarization import PolarizationReport, limit, one_shot
 
 # The delta search tries delta = 1/d for d = 2, 4, ..., up to this cap.
@@ -52,7 +52,6 @@ class ConstructionResult:
     certificate: PolarizationReport
     epsilon: Optional[Fraction] = None
     delta: Optional[Fraction] = None
-    n: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -543,23 +542,14 @@ def find_one_shot_orthant_instance(
         if inst.report.verdict:
             if not require_all_strict:
                 return inst
-            all_strict = (
-                compare(
-                    inst.report.posterior_low,
-                    inst.prior_low,
-                    UpperFamilyKind.UPPER_ORTHANT,
-                    Strictness.ALL_EVENTS,
-                ).relation
-                is Relation.STRICTLY_BELOW
-                and compare(
-                    inst.prior_high,
-                    inst.report.posterior_high,
-                    UpperFamilyKind.UPPER_ORTHANT,
-                    Strictness.ALL_EVENTS,
-                ).relation
-                is Relation.STRICTLY_BELOW
+            strict = one_shot(
+                UpperFamilyKind.UPPER_ORTHANT,
+                inst.prior_low,
+                inst.prior_high,
+                inst.likelihood,
+                Strictness.ALL_EVENTS,
             )
-            if all_strict:
+            if strict.low_drop.strictly_below and strict.high_rise.strictly_below:
                 return inst
         n += 1
     raise RuntimeError(f"no certified instance found for n up to {_ONE_SHOT_N_CAP}")

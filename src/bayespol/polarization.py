@@ -10,19 +10,20 @@ the priors sit strictly ordered between them.  The evidence is a likelihood
 conditioned on it).  Reports carry witness events and a per-state direction
 table so failures are debuggable.
 
-``one_shot`` and ``limit`` validate every input up front and return a
-``PolarizationReport``, a frozen dataclass of the chain's inputs.  Making it
-settles ``low_drop`` and ``verdict``, link by link in chain order
-(``low_drop``, the middle link, ``high_rise``), and the verdict stops at the
-first link that fails.  The two posterior links are decided on the integer
-gap vector ``compare`` would form against the posterior, read off the prior's
-numerators and the evidence, so no posterior ``Belief`` is built for them and
-a miss builds none at all.  The links the verdict did not reach, both
+A ``PolarizationReport`` is a frozen dataclass of the chain's inputs, and
+making it, by ``one_shot``, by ``limit`` or directly, validates every input
+and, in the coordinatewise limit cells, runs the conditional-reduction
+self-check.  Making it settles ``low_drop`` and ``verdict``, link by link in
+chain order (``low_drop``, the middle link, ``high_rise``), and the verdict
+stops at the first link that fails.  The two posterior links are decided on
+the integer gap vector ``compare`` would form against the posterior, read
+off the prior's numerators and the evidence, so no posterior ``Belief`` is
+built for them and a miss builds none at all.  The links the verdict did not reach, both
 posteriors and the direction table are computed on first access and cached.
 """
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Union
@@ -104,13 +105,19 @@ class PolarizationReport:
     The fields are the chain's inputs and what making the report settles:
     ``low_drop`` (posterior_low vs prior_low) and ``verdict``, which reads
     ``prior_gap`` and then ``high_rise`` only while the links before hold.
+    ``evidence`` is a likelihood (one-shot) or an identified set (limit).
+    Both priors must have full support on the evidence's space, an
+    identified set must be nonempty, and ``strong_middle`` demands the
+    coordinatewise order; any other input raises ``ValueError``.  In the
+    coordinatewise order on a proper identified set, making the report also
+    decides ``high_rise`` and runs the conditional-reduction self-check.
+
     A report is a pure function of its inputs, so equal inputs give equal
-    reports.  ``prior_gap``, ``high_rise``, both posteriors (by ``update``
-    or ``limit_posterior``) and ``directions`` are computed on first access
-    and cached; ``cached_property`` writes to the instance ``__dict__``, past
-    the frozen ``__setattr__``.  ``limit`` hands in the ``high_rise`` its
-    self-check has already decided, and ``__post_init__`` caches it the same
-    way.
+    reports, and ``dataclasses.replace`` re-decides one.  ``prior_gap``,
+    ``high_rise``, both posteriors (by ``update`` or ``limit_posterior``)
+    and ``directions`` are computed on first access and cached;
+    ``cached_property`` writes to the instance ``__dict__``, past the frozen
+    ``__setattr__``, and ``__post_init__`` writes there the same way.
     """
 
     kind: UpperFamilyKind
@@ -119,19 +126,45 @@ class PolarizationReport:
     evidence: Evidence
     strong_middle: bool
     strictness: Strictness
-    # The cached_property below is this InitVar's class attribute, so it is
-    # also its default when no verdict is handed in.
-    high_rise: InitVar[Optional[DominanceVerdict]]
     low_drop: DominanceVerdict = field(init=False)
     verdict: bool = field(init=False)
 
-    def __post_init__(self, high_rise: Optional[DominanceVerdict]) -> None:
+    def __post_init__(self) -> None:
+        kind, pl, ph, evidence = self.kind, self.prior_low, self.prior_high, self.evidence
+        _check_member("kind", kind, UpperFamilyKind)
+        _check_member("strictness", self.strictness, Strictness)
+        limit_mode = isinstance(evidence, StateSubset)
+        if not (limit_mode or isinstance(evidence, LikelihoodFn)):
+            raise ValueError(
+                f"evidence must be a LikelihoodFn or a StateSubset, got {type(evidence).__name__}"
+            )
+        if not (pl.full_support and ph.full_support):
+            mode = "limit" if limit_mode else "one-shot"
+            raise ValueError(f"{mode} polarization requires full-support priors")
+        if limit_mode and evidence.is_empty:
+            raise ValueError("identified set is empty")
+        cw = kind is UpperFamilyKind.UPPER_PROJECTION
+        if self.strong_middle and not cw:
+            raise ValueError("strong middle link is defined for the coordinatewise order")
+        # No posterior is built here, so check what building them would: both
+        # priors live on the evidence's space.  A likelihood that rules them
+        # out is refused by the low link.
+        if pl.space != evidence.space or ph.space != evidence.space:
+            raise ValueError(
+                "subset lives on a different space"
+                if limit_mode
+                else "prior and likelihood live on different spaces"
+            )
         cache = self.__dict__
-        if isinstance(high_rise, DominanceVerdict):
-            cache["high_rise"] = high_rise
         cache["low_drop"] = low_drop = _posterior_link(
-            self.kind, self.prior_low, self.evidence, self.strictness, False
+            kind, pl, evidence, self.strictness, False
         )
+        if cw and limit_mode and evidence.is_proper:
+            # The self-check reads the high link, so decide it now.
+            cache["high_rise"] = high_rise = _posterior_link(
+                kind, ph, evidence, self.strictness, True
+            )
+            _check_conditional_reduction(pl, ph, evidence, low_drop, high_rise)
         cache["verdict"] = (
             low_drop.strictly_below
             and _middle_holds(self.prior_gap)
@@ -193,15 +226,8 @@ def one_shot(
     strictness: Strictness = Strictness.ONE_EVENT,
 ) -> PolarizationReport:
     """Polarization verdict after both agents observe one realization."""
-    _check_member("kind", kind, UpperFamilyKind)
-    _check_member("strictness", strictness, Strictness)
-    if not (prior_low.full_support and prior_high.full_support):
-        raise ValueError("one-shot polarization requires full-support priors")
-    # No posterior is built here, so check what building them would: both
-    # priors live on the likelihood's space.  A likelihood that rules them
-    # out is refused by the low link.
-    if prior_low.space != ell.space or prior_high.space != ell.space:
-        raise ValueError("prior and likelihood live on different spaces")
+    if not isinstance(ell, LikelihoodFn):
+        raise ValueError(f"ell must be a LikelihoodFn, got {type(ell).__name__}")
     return PolarizationReport(kind, prior_low, prior_high, ell, False, strictness)
 
 
@@ -219,29 +245,11 @@ def limit(
     dominance between the priors (the strong polarization notion); ``kind``
     must then be the coordinatewise order.
     """
-    _check_member("kind", kind, UpperFamilyKind)
-    _check_member("strictness", strictness, Strictness)
-    if not (prior_low.full_support and prior_high.full_support):
-        raise ValueError("limit polarization requires full-support priors")
-    if identified.is_empty:
-        raise ValueError("identified set is empty")
-    if strong_middle and kind is not UpperFamilyKind.UPPER_PROJECTION:
-        raise ValueError("strong middle link is defined for the coordinatewise order")
-    if prior_low.space != identified.space or prior_high.space != identified.space:
-        raise ValueError("subset lives on a different space")
-    high_rise = None
-    if kind is UpperFamilyKind.UPPER_PROJECTION and identified.is_proper:
-        # The self-check reads the high link on every trial, so the report
-        # gets it as it is rather than through its lazy field.
-        high_rise = _posterior_link(kind, prior_high, identified, strictness, True)
-    report = PolarizationReport(
-        kind, prior_low, prior_high, identified, strong_middle, strictness, high_rise
+    if not isinstance(identified, StateSubset):
+        raise ValueError(f"identified must be a StateSubset, got {type(identified).__name__}")
+    return PolarizationReport(
+        kind, prior_low, prior_high, identified, strong_middle, strictness
     )
-    if high_rise is not None:
-        _check_conditional_reduction(
-            prior_low, prior_high, identified, report.low_drop, high_rise
-        )
-    return report
 
 
 def _conditionals_ordered(prior: Belief, mask: int, sign: int) -> bool:

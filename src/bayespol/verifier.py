@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product as _cartesian
 from typing import Iterator, Optional
 
-from .bayes import LikelihoodFn
+from .bayes import Evidence, LikelihoodFn
 from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
 from .orders import UpperFamilyKind, _check_member, _strong_cw_failure, compare_strong_cw
 from .polarization import (
@@ -54,8 +54,9 @@ class SweepConfig:
     full-support mass vectors with that common denominator, and evidence runs
     over the full likelihood grid (one-shot) or every proper nonempty subset
     (limit).  ``strong`` restricts to strongly coordinatewise ordered prior
-    pairs and demands the strong middle link, and ``identified_set`` pins the
-    evidence set instead of sampling it.
+    pairs and demands the strong middle link, so it needs the coordinatewise
+    order in limit mode; ``identified_set`` pins the evidence set instead of
+    sampling it.
     """
 
     kind: UpperFamilyKind
@@ -72,6 +73,13 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_member("kind", self.kind, UpperFamilyKind)
         _check_member("mode", self.mode, Mode)
+        if self.strong and (
+            self.mode is not Mode.LIMIT or self.kind is not UpperFamilyKind.UPPER_PROJECTION
+        ):
+            raise ValueError(
+                "strong demands the strong middle link, defined for coordinatewise"
+                f" limit sweeps; got {self.kind.value} {self.mode.value}"
+            )
         if not isinstance(self.dims, tuple) or not self.dims:
             raise ValueError(f"dims must be a nonempty tuple of axis sizes, got {self.dims!r}")
         for k, n in enumerate(self.dims):
@@ -150,29 +158,14 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepHit:
-    """One trial where the cell's polarization predicate fired."""
+    """One trial where the cell's polarization predicate fired; its report
+    holds the trial's priors and evidence."""
 
-    prior_low: Belief
-    prior_high: Belief
-    likelihood: Optional[LikelihoodFn]
-    identified_set: Optional[StateSubset]
     report: PolarizationReport
 
     def replay(self) -> PolarizationReport:
-        """Re-run the predicate from the stored payload."""
-        if self.report.mode is Mode.ONE_SHOT:
-            assert self.likelihood is not None
-            return one_shot(
-                self.report.kind, self.prior_low, self.prior_high, self.likelihood
-            )
-        assert self.identified_set is not None
-        return limit(
-            self.report.kind,
-            self.prior_low,
-            self.prior_high,
-            self.identified_set,
-            strong_middle=self.report.strong_middle,
-        )
+        """Re-decide the report from its inputs."""
+        return replace(self.report)
 
 
 @dataclass(frozen=True)
@@ -268,13 +261,12 @@ def _random_strong_pair(
             return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
 
 
-_Trial = tuple[Belief, Belief, Optional[LikelihoodFn], Optional[StateSubset]]
+def _trials(
+    config: SweepConfig, space: StateSpace
+) -> Iterator[tuple[Belief, Belief, Evidence]]:
+    """The plan's trials on ``space``: prior pair and evidence.
 
-
-def _trials(config: SweepConfig, space: StateSpace) -> Iterator[_Trial]:
-    """The plan's trials on ``space``: prior pair, likelihood, evidence set.
-
-    One-shot trials carry a likelihood and limit trials an evidence set.
+    The evidence is a likelihood in one-shot mode and a set in limit mode.
     Exhaustive mode runs every prior pair (strongly ordered ones only, under
     ``strong``) against every piece of evidence.  Random mode draws trial
     ``t`` from its own generator seeded ``f"{seed}:{t}"``: the prior pair,
@@ -289,22 +281,17 @@ def _trials(config: SweepConfig, space: StateSpace) -> Iterator[_Trial]:
     if config.denominator_bound is not None:
         priors = _exhaustive_priors(space, config.denominator_bound)
         if one_shot_mode:
-            evidence = [
-                (ell, None) for ell in _exhaustive_likelihoods(space, config.likelihood_levels)
-            ]
+            evidence = _exhaustive_likelihoods(space, config.likelihood_levels)
         elif pinned is not None:
-            evidence = [(None, pinned)]
+            evidence = [pinned]
         else:
-            evidence = [
-                (None, StateSubset(space, mask))
-                for mask in range(1, space.full_mask)
-            ]
+            evidence = [StateSubset(space, mask) for mask in range(1, space.full_mask)]
         for pl in priors:
             for ph in priors:
                 if config.strong and not compare_strong_cw(pl, ph):
                     continue
-                for ell, ident in evidence:
-                    yield pl, ph, ell, ident
+                for ev in evidence:
+                    yield pl, ph, ev
         return
 
     for t in range(config.trials):
@@ -315,11 +302,11 @@ def _trials(config: SweepConfig, space: StateSpace) -> Iterator[_Trial]:
             pl = _random_belief(rng, space, config.mass_bound)
             ph = _random_belief(rng, space, config.mass_bound)
         if one_shot_mode:
-            yield pl, ph, _random_likelihood(rng, space, config.likelihood_levels), None
+            yield pl, ph, _random_likelihood(rng, space, config.likelihood_levels)
         elif pinned is not None:
-            yield pl, ph, None, pinned
+            yield pl, ph, pinned
         else:
-            yield pl, ph, None, StateSubset(space, rng.randrange(1, space.full_mask))
+            yield pl, ph, StateSubset(space, rng.randrange(1, space.full_mask))
 
 
 def sweep(config: SweepConfig) -> SweepReport:
@@ -327,14 +314,14 @@ def sweep(config: SweepConfig) -> SweepReport:
     start = time.perf_counter()
     hits: list[SweepHit] = []
     trials_run = 0
-    for pl, ph, ell, ident in _trials(config, config.space):
+    for pl, ph, evidence in _trials(config, config.space):
         trials_run += 1
         if config.mode is Mode.ONE_SHOT:
-            report = one_shot(config.kind, pl, ph, ell)
+            report = one_shot(config.kind, pl, ph, evidence)
         else:
-            report = limit(config.kind, pl, ph, ident, strong_middle=config.strong)
+            report = limit(config.kind, pl, ph, evidence, strong_middle=config.strong)
         if report.verdict:
-            hits.append(SweepHit(pl, ph, ell, ident, report))
+            hits.append(SweepHit(report))
     return SweepReport(config, trials_run, tuple(hits), time.perf_counter() - start)
 
 
@@ -373,12 +360,10 @@ def direction_consistency_sweep(config: SweepConfig) -> DirectionSweepReport:
     """
     if config.mode is not Mode.ONE_SHOT:
         raise ValueError("mode must be oneshot: the direction sweep draws likelihoods")
-    if config.strong:
-        raise ValueError("strong does not apply to the direction sweep")
     start = time.perf_counter()
     violations: list[DirectionViolation] = []
     trials_run = skipped = 0
-    for p, p_other, ell, _ in _trials(config, config.space):
+    for p, p_other, ell in _trials(config, config.space):
         trials_run += 1
         if ell.is_constant:
             skipped += 1

@@ -235,8 +235,7 @@ def test_family_search_on_a_rational_basis_finds_the_oracle_hits(mode):
     basis = [(F(-2, 3), F(1, 3), F(1, 2), F(7, 5)), (F(0), F(0), F(5, 2), F(5, 2))]
     config = SweepConfig(UpperFamilyKind.UPPER_SET, mode, (2, 2), trials=300, seed=5)
     expected = []
-    for low, high, ell, ident in _trials(config, GRID_2X2):
-        evidence = ell if ident is None else ident
+    for low, high, evidence in _trials(config, GRID_2X2):
         if all_basis_movements_by_expectation(basis, low, high, evidence):
             expected.append((low, high, evidence))
     out = family_polarization_search(INCREASING, mode, GRID_2X2, basis=basis, trials=300, seed=5)

@@ -297,6 +297,7 @@ def test_rational_fields_reject_bools(doc, named):
 # -- fuzzed scenarios ------------------------------------------------------------
 
 _RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+_NONNEGATIVE = st.builds(F, st.integers(0, 12), st.integers(1, 6))
 
 
 def _written(draw, value):
@@ -344,8 +345,16 @@ def scenario_docs(draw):
     if draw(st.booleans()):
         doc["truth"] = draw(st.sampled_from(states))
     if draw(st.booleans()):
-        doc["utility"] = [_written(draw, v) for v in draw(st.lists(_RATIONALS, min_size=size, max_size=size))]
-        doc["utility_family"] = draw(st.sampled_from([k.value for k in UtilityFamilyKind]))
+        # a member of the family: sums of nondecreasing per-axis parts, or
+        # for products, products of nonnegative nondecreasing parts
+        family = draw(st.sampled_from(list(UtilityFamilyKind)))
+        products = family is UtilityFamilyKind.PRODUCTS_OF_NONNEG_INCREASING
+        entries = _NONNEGATIVE if products else _RATIONALS
+        parts = [sorted(draw(st.lists(entries, min_size=n, max_size=n))) for n in shape]
+        combine = math.prod if products else sum
+        values = [combine(part[i] for part, i in zip(parts, s)) for s in states]
+        doc["utility"] = [_written(draw, F(v)) for v in values]
+        doc["utility_family"] = family.value
     return json.loads(json.dumps(doc))
 
 
@@ -577,6 +586,23 @@ def test_tradeoff_grid_below_one_is_a_usage_error(grid, capsys):
 )
 def test_unknown_fields_and_a_non_string_name_are_refused(doc, named):
     with pytest.raises(ScenarioError, match=re.escape(f"'{named}'")):
+        parse_scenario(doc)
+
+
+@pytest.mark.parametrize(
+    "family,values",
+    [
+        (None, ["1", "0", "0", "0"]),
+        ("increasing", ["1", "0", "0", "0"]),
+        ("sums", ["0", "0", "0", "1"]),
+        ("products", ["-1", "0", "0", "1"]),
+    ],
+)
+def test_a_utility_outside_its_family_is_refused(family, values):
+    doc = {"dims": [["0", "1"], ["0", "1"]], "utility": values}
+    if family is not None:
+        doc["utility_family"] = family
+    with pytest.raises(ScenarioError, match="field 'utility': values do not belong"):
         parse_scenario(doc)
 
 

@@ -13,6 +13,7 @@ from bayespol import (
     DominanceVerdict,
     LikelihoodFn,
     Mode,
+    PolarizationReport,
     Relation,
     StateSpace,
     StateSubset,
@@ -591,6 +592,10 @@ NON_MEMBER_CALLS = [
     (lambda: one_shot(ST, MIRROR_LOW, MIRROR_HIGH, _HALF, "one_event"), "strictness"),
     (lambda: limit("cw", MIRROR_LOW, MIRROR_HIGH, DIAGONAL), "kind"),
     (lambda: limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL, False, "all_events"), "strictness"),
+    (lambda: PolarizationReport("cw", MIRROR_LOW, MIRROR_HIGH, DIAGONAL, False,
+                                Strictness.ONE_EVENT), "kind"),
+    (lambda: PolarizationReport(UO, MIRROR_LOW, MIRROR_HIGH, _HALF, False, "one_event"),
+     "strictness"),
     (lambda: SweepConfig("st", Mode.LIMIT, (2, 2)), "kind"),
     (lambda: SweepConfig(ST, "oneshot", (2, 2)), "mode"),
     (lambda: SweepConfig(ST, None, (2, 2)), "mode"),
@@ -604,7 +609,8 @@ NON_MEMBER_CALLS = [
         "compare-kind", "compare-strictness", "event_family", "canonical_basis",
         "compare_by_generators", "compare_by_generators-basis", "in_generating_class",
         "one_shot-kind",
-        "one_shot-strictness", "limit-kind", "limit-strictness", "sweep-kind",
+        "one_shot-strictness", "limit-kind", "limit-strictness",
+        "report-kind", "report-strictness", "sweep-kind",
         "sweep-mode", "sweep-mode-none",
     ],
 )

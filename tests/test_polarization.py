@@ -161,6 +161,28 @@ def test_integer_reduced_links_match_the_conditional_compares(pair):
     assert {low for low, _ in seen} == {high for _, high in seen} == {False, True}
 
 
+SELF_CHECK_SETS = (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001))
+
+
+def _assert_every_cw_limit_report_fires(valid):
+    """Each way of making a CW limit report on the sets runs the self-check:
+    ``limit``, a direct ``PolarizationReport`` and ``replace`` of a report
+    made before the link flipped."""
+    for ident in SELF_CHECK_SETS:
+        for strong in (False, True):
+            with pytest.raises(AssertionError, match="conditional reduction"):
+                limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=strong)
+            with pytest.raises(AssertionError, match="conditional reduction"):
+                PolarizationReport(
+                    CW, MIRROR_LOW, MIRROR_HIGH, ident, strong, Strictness.ONE_EVENT
+                )
+    for report in valid:
+        with pytest.raises(AssertionError, match="conditional reduction"):
+            dataclasses.replace(report)
+    # the self-check runs only in the coordinatewise order
+    limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+
+
 @pytest.mark.parametrize("link", ["low", "high"])
 def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
     # The direct links are the two posterior links; ``rise`` marks the high one.
@@ -174,14 +196,9 @@ def test_limit_self_check_fires_when_a_direct_link_flips(monkeypatch, link):
             return DominanceVerdict(Relation.INCOMPARABLE, verdict.witness, verdict.witness)
         return DominanceVerdict(Relation.EQUAL)
 
+    valid = [limit(CW, MIRROR_LOW, MIRROR_HIGH, ident) for ident in SELF_CHECK_SETS]
     monkeypatch.setattr(polarization, "_posterior_link", flipped)
-    for ident in (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001)):
-        with pytest.raises(AssertionError, match="conditional reduction"):
-            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident)
-        with pytest.raises(AssertionError, match="conditional reduction"):
-            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
-    # the self-check runs only in the coordinatewise order
-    limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+    _assert_every_cw_limit_report_fires(valid)
 
 
 @pytest.mark.parametrize("link", ["low", "high"])
@@ -192,13 +209,9 @@ def test_limit_self_check_fires_when_a_reduced_link_flips(monkeypatch, link):
         low, high = real(pl, ph, identified)
         return (not low, high) if link == "low" else (low, not high)
 
+    valid = [limit(CW, MIRROR_LOW, MIRROR_HIGH, ident) for ident in SELF_CHECK_SETS]
     monkeypatch.setattr(polarization, "_reduced_links", flipped)
-    for ident in (DIAGONAL, DIAGONAL.complement(), StateSubset(GRID_2X2, 0b0001)):
-        with pytest.raises(AssertionError, match="conditional reduction"):
-            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident)
-        with pytest.raises(AssertionError, match="conditional reduction"):
-            limit(CW, MIRROR_LOW, MIRROR_HIGH, ident, strong_middle=True)
-    limit(UO, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+    _assert_every_cw_limit_report_fires(valid)
 
 
 # -- lazy reports ----------------------------------------------------------------
@@ -412,34 +425,32 @@ def _zero_likelihood(space):
     return ell
 
 
+# (kind, prior_low, prior_high, evidence, strong_middle); one_shot takes the
+# likelihoods and limit the sets, and a direct PolarizationReport takes both.
 @pytest.mark.parametrize(
-    "call,message",
+    "inputs,message",
     [
-        (lambda: one_shot(CW, MIRROR_LOW, FOREIGN_HIGH, CONSTANT),
+        ((CW, MIRROR_LOW, FOREIGN_HIGH, CONSTANT, False),
          "prior and likelihood live on different spaces"),
-        (lambda: one_shot(CW, FOREIGN_HIGH, MIRROR_HIGH, CONSTANT),
+        ((CW, FOREIGN_HIGH, MIRROR_HIGH, CONSTANT, False),
          "prior and likelihood live on different spaces"),
-        (lambda: one_shot(ST, MIRROR_LOW, MIRROR_HIGH,
-                          LikelihoodFn.from_fractions(GRID_2X3, ["1/2"] * 6)),
+        ((ST, MIRROR_LOW, MIRROR_HIGH, LikelihoodFn.from_fractions(GRID_2X3, ["1/2"] * 6), False),
          "prior and likelihood live on different spaces"),
-        (lambda: one_shot(UO, MIRROR_LOW, MIRROR_HIGH, _zero_likelihood(GRID_2X2)),
+        ((UO, MIRROR_LOW, MIRROR_HIGH, _zero_likelihood(GRID_2X2), False),
          "zero evidence probability"),
-        (lambda: one_shot(CW, THIN, MIRROR_HIGH, CONSTANT), "requires full-support"),
-        (lambda: one_shot(CW, MIRROR_LOW, THIN, CONSTANT), "requires full-support"),
-        (lambda: limit(CW, MIRROR_LOW, FOREIGN_HIGH, FULL),
+        ((CW, THIN, MIRROR_HIGH, CONSTANT, False), "one-shot polarization requires full-support"),
+        ((CW, MIRROR_LOW, THIN, CONSTANT, False), "one-shot polarization requires full-support"),
+        ((CW, MIRROR_LOW, FOREIGN_HIGH, FULL, False), "subset lives on a different space"),
+        ((ST, FOREIGN_HIGH, MIRROR_HIGH, FULL, False), "subset lives on a different space"),
+        ((UO, MIRROR_LOW, MIRROR_HIGH, StateSubset.full(OTHER_2X2), False),
          "subset lives on a different space"),
-        (lambda: limit(ST, FOREIGN_HIGH, MIRROR_HIGH, FULL),
-         "subset lives on a different space"),
-        (lambda: limit(UO, MIRROR_LOW, MIRROR_HIGH, StateSubset.full(OTHER_2X2)),
-         "subset lives on a different space"),
-        (lambda: limit(CW, MIRROR_LOW, MIRROR_HIGH, StateSubset(GRID_2X2, 0)),
-         "identified set is empty"),
-        (lambda: limit(CW, THIN, MIRROR_HIGH, FULL), "requires full-support"),
-        (lambda: limit(CW, MIRROR_LOW, THIN, FULL, strong_middle=True), "requires full-support"),
-        (lambda: limit(ST, MIRROR_LOW, MIRROR_HIGH, FULL, strong_middle=True),
-         "coordinatewise order"),
-        (lambda: limit(UO, MIRROR_LOW, MIRROR_HIGH, FULL, strong_middle=True),
-         "coordinatewise order"),
+        ((CW, MIRROR_LOW, MIRROR_HIGH, StateSubset(GRID_2X2, 0), False), "identified set is empty"),
+        ((CW, THIN, MIRROR_HIGH, FULL, False), "limit polarization requires full-support"),
+        ((CW, MIRROR_LOW, THIN, FULL, True), "limit polarization requires full-support"),
+        ((ST, MIRROR_LOW, MIRROR_HIGH, FULL, True), "coordinatewise order"),
+        ((UO, MIRROR_LOW, MIRROR_HIGH, FULL, True), "coordinatewise order"),
+        # a thin prior against the diagonal, which would otherwise polarize
+        ((CW, THIN, MIRROR_HIGH, DIAGONAL, False), "limit polarization requires full-support"),
     ],
     ids=[
         "oneshot-mismatched-priors", "oneshot-mismatched-priors-low",
@@ -449,11 +460,28 @@ def _zero_likelihood(space):
         "limit-foreign-evidence", "limit-empty-set",
         "limit-thin-low", "limit-thin-high",
         "limit-strong-middle-st", "limit-strong-middle-uo",
+        "limit-thin-low-diagonal",
     ],
 )
-def test_invalid_inputs_raise_before_any_link(call, message):
+def test_invalid_inputs_raise_before_any_link(inputs, message):
+    kind, low, high, evidence, strong = inputs
     with pytest.raises(ValueError, match=message):
-        call()
+        if isinstance(evidence, LikelihoodFn):
+            one_shot(kind, low, high, evidence)
+        else:
+            limit(kind, low, high, evidence, strong_middle=strong)
+    with pytest.raises(ValueError, match=message):
+        PolarizationReport(kind, low, high, evidence, strong, Strictness.ONE_EVENT)
+
+
+def test_evidence_of_the_wrong_type_is_refused_by_name():
+    with pytest.raises(ValueError, match="^ell must be a LikelihoodFn, got StateSubset"):
+        one_shot(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+    with pytest.raises(ValueError, match="^identified must be a StateSubset, got LikelihoodFn"):
+        limit(CW, MIRROR_LOW, MIRROR_HIGH, CORNER_LIKELIHOOD)
+    for evidence in (None, DIAGONAL.mask, MIRROR_LOW):
+        with pytest.raises(ValueError, match="^evidence must be a LikelihoodFn or a StateSubset"):
+            PolarizationReport(CW, MIRROR_LOW, MIRROR_HIGH, evidence, False, Strictness.ONE_EVENT)
 
 
 def test_reports_that_differ_only_past_the_low_link_are_unequal():

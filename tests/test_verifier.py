@@ -53,8 +53,8 @@ def test_sweep_reports_are_reproducible_bit_exactly():
 def test_different_seeds_explore_different_instances():
     a = sweep(SweepConfig(CW, Mode.LIMIT, (2, 2), trials=400, seed=1))
     b = sweep(SweepConfig(CW, Mode.LIMIT, (2, 2), trials=400, seed=2))
-    assert {h.prior_low for h in a.counterexamples} != {
-        h.prior_low for h in b.counterexamples
+    assert {h.report.prior_low for h in a.counterexamples} != {
+        h.report.prior_low for h in b.counterexamples
     }
 
 
@@ -62,7 +62,7 @@ def test_exhaustive_cw_limit_hits_only_the_diagonal():
     config = SweepConfig(CW, Mode.LIMIT, (2, 2), denominator_bound=6)
     report = sweep(config)
     assert report.found_any
-    assert {hit.identified_set.mask for hit in report.counterexamples} == {DIAGONAL.mask}
+    assert {hit.report.identified_set.mask for hit in report.counterexamples} == {DIAGONAL.mask}
     # 10 full-support priors with denominator 6, squared, times 14 subsets
     assert report.trials_run == 10 * 10 * 14
 
@@ -91,6 +91,18 @@ def test_counterexample_payloads_replay():
     assert report.found_any
     for hit in report.counterexamples:
         assert hit.replay().verdict
+        assert hit.replay() == hit.report
+
+
+@pytest.mark.parametrize(
+    "kind,mode",
+    [(CW, Mode.ONE_SHOT), (ST, Mode.LIMIT), (UO, Mode.LIMIT)],
+    ids=["cw-oneshot", "st-limit", "uo-limit"],
+)
+def test_strong_outside_the_coordinatewise_limit_cell_is_refused(kind, mode):
+    # the strong middle link is defined for the coordinatewise limit cell only
+    with pytest.raises(ValueError, match="^strong "):
+        SweepConfig(kind, mode, (2, 2), trials=50, strong=True)
 
 
 def test_strong_sweep_respects_the_pinned_set():
@@ -373,7 +385,7 @@ def _sweep_case(config):
     def run():
         report = sweep(config)
         return report.trials_run, [
-            [_draw_key(h.prior_low), _draw_key(h.prior_high)]
+            [_draw_key(h.report.prior_low), _draw_key(h.report.prior_high)]
             for h in report.counterexamples
         ]
 
