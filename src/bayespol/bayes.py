@@ -22,6 +22,8 @@ from .core import (
     State,
     StateSpace,
     StateSubset,
+    _INT,
+    _refuse_non_int,
     over_common_denominator,
 )
 
@@ -37,6 +39,8 @@ class LikelihoodFn:
     def __post_init__(self) -> None:
         if len(self.nums) != self.space.size:
             raise ValueError(f"expected {self.space.size} likelihood values")
+        if not (_INT.issuperset(map(type, self.nums)) and type(self.den) is int):
+            _refuse_non_int(self.nums, self.den)
         if self.den <= 0:
             raise ValueError("denominator must be positive")
         if any(n < 0 or n > self.den for n in self.nums):

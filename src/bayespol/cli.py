@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .actions import UtilityFamilyKind, UtilityFn, tradeoff_curve
+from .actions import UtilityFamilyKind, UtilityFn, action_polarizes, tradeoff_curve
 from .bayes import LikelihoodFn, Signal, identified_set, simulate, update
 from .classifier import ClassificationReport, classify
 from .construct import build_polarizing_priors
@@ -410,7 +410,18 @@ def _cmd_polarize(sc: Scenario, args) -> tuple[dict, Optional[Table]]:
     else:
         ident = _require(sc, "identified", "identified_set", "polarize --mode limit")
         report = limit(kind, low, high, ident)
-    return _polarization_doc(report), None
+    doc = _polarization_doc(report)
+    if sc.utility is not None:
+        move = action_polarizes(sc.utility, low, high, report.evidence)
+        doc["action"] = {
+            "utility_family": sc.utility.kind.value,
+            "low_before": str(move.low_before),
+            "low_after": str(move.low_after),
+            "high_before": str(move.high_before),
+            "high_after": str(move.high_after),
+            "polarizes": move.polarizes,
+        }
+    return doc, None
 
 
 def _cmd_simulate(sc: Scenario, args) -> tuple[dict, Optional[Table]]:

@@ -18,6 +18,7 @@ two-point likelihood (one-shot, upper orthant).
 """
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,10 @@ _ONE_SHOT_N_START = 3
 _ONE_SHOT_N_CAP = 2**20
 
 _Box = tuple[State, State]  # inclusive (low corner, high corner) index bounds
+
+# The strong relations among (low on a, high on b, low on c, high on d), by
+# position: a below b, then the cross relations a below c and d below b.
+_PIECE_RELATIONS = ((0, 1), (0, 2), (3, 1))
 
 
 @dataclass(frozen=True)
@@ -176,10 +181,10 @@ def _joint_strong_solve(
     in the chains' order.
 
     Every constraint is a strict inequality between two cumulative masses, so
-    the system is a set of difference constraints over prefix variables.  A
-    longest-path labeling of the (acyclic) constraint graph yields integer
-    prefix values over the longest path's length; masses are their
-    differences.
+    the system is a set of difference constraints over prefix variables.
+    Each node's longest path from ``ZERO``, the graph's one source, labelled
+    in a topological order, gives unique integer prefix values over the
+    longest path's length; masses are their differences.
     """
     ZERO, ONE = (-1, 0), (-1, 1)
 
@@ -190,26 +195,19 @@ def _joint_strong_solve(
             return ONE
         return (pos, idx)
 
-    edges: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    # Per node, the nodes that must be smaller.
+    preds: dict[tuple[int, int], set[tuple[int, int]]] = {ZERO: set(), ONE: set()}
 
     def add(a: tuple[int, int], b: tuple[int, int]) -> None:
-        if a == b:
-            raise AssertionError(f"infeasible constraint {a} < {b}")
         if a == ZERO and b == ONE:
             return
-        if b == ZERO or a == ONE:
+        if a == b or b == ZERO or a == ONE:
             raise AssertionError(f"infeasible constraint {a} < {b}")
-        edges.add((a, b))
+        preds.setdefault(b, set()).add(a)
 
     for pos, chain in enumerate(chains):
         for r in range(len(chain)):
             add(node(pos, r), node(pos, r + 1))
-
-    def rank_leq(states: list[State], axis: int, cut: int) -> int:
-        return sum(1 for s in states if s[axis] <= cut)
-
-    def rank_above(states: list[State], axis: int, cut: int) -> int:
-        return sum(1 for s in states if s[axis] > cut)
 
     states = [[space.state_at(f) for f in chain] for chain in chains]
     for low_pos, high_pos in relations:
@@ -217,62 +215,42 @@ def _joint_strong_solve(
         for cut in range(space.shape[0] - 1):
             # F_high < F_low on the first axis: prefix(high) < prefix(low)
             add(
-                node(high_pos, rank_leq(high_states, 0, cut)),
-                node(low_pos, rank_leq(low_states, 0, cut)),
+                node(high_pos, sum(s[0] <= cut for s in high_states)),
+                node(low_pos, sum(s[0] <= cut for s in low_states)),
             )
         for cut in range(space.shape[1] - 1):
             # Second axis cdfs are one-minus-suffix, flipping the direction.
             add(
-                node(low_pos, rank_above(low_states, 1, cut)),
-                node(high_pos, rank_above(high_states, 1, cut)),
+                node(low_pos, sum(s[1] > cut for s in low_states)),
+                node(high_pos, sum(s[1] > cut for s in high_states)),
             )
 
-    outgoing: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    indeg: dict[tuple[int, int], int] = {}
-    nodes = {ZERO, ONE}
-    for a, b in edges:
-        nodes.add(a)
-        nodes.add(b)
-    for n in nodes:
-        outgoing[n] = []
-        indeg[n] = 0
-    for a, b in edges:
-        outgoing[a].append(b)
-        indeg[b] += 1
+    longest: dict[tuple[int, int], int] = {}
+    try:
+        for n in graphlib.TopologicalSorter(preds).static_order():
+            longest[n] = max([longest[p] + 1 for p in preds[n]], default=0)
+    except graphlib.CycleError:
+        raise AssertionError("infeasible joint system: constraint cycle") from None
 
-    order = [n for n in nodes if indeg[n] == 0]
-    longest = {n: 0 for n in nodes}
-    seen = 0
-    queue = list(order)
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for m in outgoing[n]:
-            if longest[n] + 1 > longest[m]:
-                longest[m] = longest[n] + 1
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if seen != len(nodes):
-        raise AssertionError("infeasible joint system: constraint cycle")
-
-    top = longest[ONE]
     out = []
     for pos, chain in enumerate(chains):
-        prefix = [longest[node(pos, r)] for r in range(len(chain) + 1)]
         nums = [0] * space.size
         for r, f in enumerate(chain):
-            w = prefix[r + 1] - prefix[r]
-            if w <= 0:
+            nums[f] = longest[node(pos, r + 1)] - longest[node(pos, r)]
+            if nums[f] <= 0:
                 raise AssertionError("joint solve produced a nonpositive mass")
-            nums[f] = w
-        out.append(Belief(space, tuple(nums), top))
+        out.append(Belief(space, tuple(nums), longest[ONE]))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Polarizing priors for a classified identified set
 # ---------------------------------------------------------------------------
+
+
+def _margins(pieces: Sequence[Belief], box: _Box) -> list[Fraction]:
+    """``_box_cdf_gap`` of each of ``_PIECE_RELATIONS`` on the pieces."""
+    return [_box_cdf_gap(pieces[lo], pieces[hi], box) for lo, hi in _PIECE_RELATIONS]
 
 
 def _conditional_pieces(
@@ -289,36 +267,34 @@ def _conditional_pieces(
     Returns (low on a, high on b, low on c, high on d) plus half the minimal
     cdf gap across the three strong relations that must hold among them.
     """
-    for low, high in ((a_set, b_set), (a_set, c_set), (d_set, b_set)):
-        failure = _dominance_failure(space, low.mask, high.mask)
+    sets = (a_set, b_set, c_set, d_set)
+    for lo, hi in _PIECE_RELATIONS:
+        failure = _dominance_failure(space, sets[lo].mask, sets[hi].mask)
         if failure is not None:
             raise AssertionError(
-                f"internal error: expected antichain dominance of {high!r} over"
-                f" {low!r}, failed on {failure}"
+                f"internal error: expected antichain dominance of {sets[hi]!r} over"
+                f" {sets[lo]!r}, failed on {failure}"
             )
 
     full_box = (space.bottom, space.top)
-    chains = [subset.flats() for subset in (a_set, b_set, c_set, d_set)]
+    chains = [subset.flats() for subset in sets]
     a, b, c, d = chains
     on_a, on_b = _antichain_pair(space, a, b, full_box)
     _, on_c = _antichain_pair(space, a, c, full_box)
     on_d, _ = _antichain_pair(space, d, b, full_box)
+    pieces = [on_a, on_b, on_c, on_d]
 
+    # A full-box margin is positive iff its pair is strongly ordered.
     # Pairwise runs share no variables, so the two reused sides may fail the
     # cross relations; if so, re-solve all four jointly.
-    if not (compare_strong_cw(on_a, on_c) and compare_strong_cw(on_d, on_b)):
-        on_a, on_b, on_c, on_d = _joint_strong_solve(
-            space, chains, [(0, 1), (0, 2), (3, 1)]
-        )
-
-    gap = min(
-        _box_cdf_gap(on_a, on_b, full_box),
-        _box_cdf_gap(on_a, on_c, full_box),
-        _box_cdf_gap(on_d, on_b, full_box),
-    )
+    margins = _margins(pieces, full_box)
+    if min(margins[1:]) <= 0:
+        pieces = _joint_strong_solve(space, chains, _PIECE_RELATIONS)
+        margins = _margins(pieces, full_box)
+    gap = min(margins)
     if gap <= 0:
         raise AssertionError("internal error: nonpositive strong-dominance gap")
-    return on_a, on_b, on_c, on_d, gap / 2
+    return (*pieces, gap / 2)
 
 
 def _layers(

@@ -37,6 +37,22 @@ def frac(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+# ``Belief`` and ``LikelihoodFn`` take plain int numerators and denominator
+# only, tested inline as ``_INT.issuperset(map(type, nums))``: it runs on
+# every ``Belief``.  bool is an int subclass, and a float or ``Fraction``
+# would reach ``math.gcd`` with a message that names no field.
+_INT = frozenset({int})
+
+
+def _refuse_non_int(nums: Sequence[int], den: int) -> None:
+    """Raise a ``TypeError`` naming the first of ``nums`` and ``den`` that is
+    not a plain int."""
+    for i, n in enumerate(nums):
+        if type(n) is not int:
+            raise TypeError(f"nums[{i}] must be an int, got {n!r}")
+    raise TypeError(f"den must be an int, got {den!r}")
+
+
 def over_common_denominator(values: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
     """Exact rationals as integer numerators over their least common denominator."""
     fractions = [frac(v) for v in values]
@@ -358,6 +374,8 @@ class Belief:
             raise ValueError(
                 f"expected {self.space.size} masses, got {len(self.nums)}"
             )
+        if not (_INT.issuperset(map(type, self.nums)) and type(self.den) is int):
+            _refuse_non_int(self.nums, self.den)
         if self.den <= 0:
             raise ValueError("denominator must be positive")
         if min(self.nums) < 0:

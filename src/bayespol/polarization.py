@@ -35,6 +35,7 @@ from .orders import (
     Strictness,
     StrongCwVerdict,
     UpperFamilyKind,
+    _cdf_failure,
     _check_member,
     _verdict_from_gaps,
     compare,
@@ -107,10 +108,11 @@ class PolarizationReport:
     ``prior_gap`` and then ``high_rise`` only while the links before hold.
     ``evidence`` is a likelihood (one-shot) or an identified set (limit).
     Both priors must have full support on the evidence's space, an
-    identified set must be nonempty, and ``strong_middle`` demands the
-    coordinatewise order; any other input raises ``ValueError``.  In the
-    coordinatewise order on a proper identified set, making the report also
-    decides ``high_rise`` and runs the conditional-reduction self-check.
+    identified set must be nonempty, and ``strong_middle`` is a ``bool``
+    that, when set, demands the coordinatewise order; any other input raises
+    ``ValueError``.  In the coordinatewise order on a proper identified set,
+    making the report also decides ``high_rise`` and runs the
+    conditional-reduction self-check.
 
     A report is a pure function of its inputs, so equal inputs give equal
     reports, and ``dataclasses.replace`` re-decides one.  ``prior_gap``,
@@ -143,6 +145,8 @@ class PolarizationReport:
             raise ValueError(f"{mode} polarization requires full-support priors")
         if limit_mode and evidence.is_empty:
             raise ValueError("identified set is empty")
+        if not isinstance(self.strong_middle, bool):
+            raise ValueError(f"strong_middle must be a bool, got {self.strong_middle!r}")
         cw = kind is UpperFamilyKind.UPPER_PROJECTION
         if self.strong_middle and not cw:
             raise ValueError("strong middle link is defined for the coordinatewise order")
@@ -252,41 +256,23 @@ def limit(
     )
 
 
-def _conditionals_ordered(prior: Belief, mask: int, sign: int) -> bool:
-    """With ``sign`` 1, whether ``prior|I ≤CW prior|Iᶜ``; with ``sign`` −1,
-    whether ``prior|Iᶜ ≤CW prior|I``, for the set ``I`` of bitmask ``mask``.
-
-    Over the common denominator ``s_in·s_out`` the conditionals put
-    ``in_E·s_out`` and ``out_E·s_in`` on a projection event ``E``, where
-    ``in_E`` and ``out_E`` are the prior's numerators on ``E`` in and off
-    ``I``, and ``s_in``, ``s_out`` their totals.  As ``s_in + s_out`` is the
-    denominator ``D`` and ``in_E + out_E`` the prior's numerator ``all_E``
-    on ``E``, their difference is ``in_E·D − all_E·s_in``.  ``in_E`` and
-    ``all_E`` are per-axis tail sums, from the top value down, of the masked
-    and of the whole numerators over ``axis_groups``.
-    """
-    nums, den = prior.nums, prior.den
-    masked = [n if mask >> f & 1 else 0 for f, n in enumerate(nums)]
-    get_in, get_all = masked.__getitem__, nums.__getitem__
-    s_in = sum(masked)
-    for groups in prior.space.axis_groups:
-        t_in = t_all = 0
-        for g in groups[:0:-1]:
-            t_in += sum(map(get_in, g))
-            t_all += sum(map(get_all, g))
-            if (t_in * den - t_all * s_in) * sign > 0:
-                return False
-    return True
-
-
 def _reduced_links(
     pl: Belief, ph: Belief, identified: StateSubset
 ) -> tuple[bool, bool]:
     """Whether ``pl|I ≤CW pl|Iᶜ`` and whether ``ph|Iᶜ ≤CW ph|I``, for a
-    proper identified set ``I``, read on the priors' integer numerators
-    without building a conditional ``Belief``."""
-    mask = identified.mask
-    return _conditionals_ordered(pl, mask, 1), _conditionals_ordered(ph, mask, -1)
+    proper identified set ``I``, without building a conditional ``Belief``.
+
+    A prior mixes its two conditionals with weights in (0, 1), so ``prior|I
+    ≤CW prior|Iᶜ`` iff ``prior|I ≤CW prior``: a weak marginal-cdf gap, read
+    on the numerators masked to ``I`` and on all of them.
+    """
+    mask, space = identified.mask, pl.space
+    low_in = [n if mask >> f & 1 else 0 for f, n in enumerate(pl.nums)]
+    high_in = [n if mask >> f & 1 else 0 for f, n in enumerate(ph.nums)]
+    return (
+        _cdf_failure(space, low_in, sum(low_in), pl.nums, pl.den, False) is None,
+        _cdf_failure(space, ph.nums, ph.den, high_in, sum(high_in), False) is None,
+    )
 
 
 def _check_conditional_reduction(
@@ -303,8 +289,8 @@ def _check_conditional_reduction(
     direct ``ql ≤CW pl`` must equal ``a ≤CW b`` and ``ph ≤CW qh`` must equal
     ``d ≤CW c``.  The direct links come from ``_posterior_link``, a table of
     suffix sums along the cover edges; the reduced ones from
-    ``_reduced_links``, per-axis tail sums of the numerators on the set and
-    of all of them.  The two sides share no code.
+    ``_reduced_links``, per-axis cdfs through ``orders._cdf_failure``.  The
+    two sides share no code.
     """
     low_reduced, high_reduced = _reduced_links(pl, ph, identified)
     if low_drop.weakly_below != low_reduced or high_rise.weakly_below != high_reduced:

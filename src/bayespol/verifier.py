@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 from .bayes import Evidence, LikelihoodFn
 from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
-from .orders import UpperFamilyKind, _check_member, _strong_cw_failure, compare_strong_cw
+from .orders import UpperFamilyKind, _cdf_failure, _check_member, compare_strong_cw
 from .polarization import (
     Mode,
     PolarizationReport,
@@ -73,6 +73,8 @@ class SweepConfig:
     def __post_init__(self) -> None:
         _check_member("kind", self.kind, UpperFamilyKind)
         _check_member("mode", self.mode, Mode)
+        if not isinstance(self.strong, bool):
+            raise ValueError(f"strong must be a bool, got {self.strong!r}")
         if self.strong and (
             self.mode is not Mode.LIMIT or self.kind is not UpperFamilyKind.UPPER_PROJECTION
         ):
@@ -255,9 +257,9 @@ def _random_strong_pair(
         a = _draw_weights(rng, size, bound)
         b = _draw_weights(rng, size, bound)
         sa, sb = sum(a), sum(b)
-        if _strong_cw_failure(space, a, sa, b, sb) is None:
+        if _cdf_failure(space, a, sa, b, sb) is None:
             return Belief(space, tuple(a), sa), Belief(space, tuple(b), sb)
-        if _strong_cw_failure(space, b, sb, a, sa) is None:
+        if _cdf_failure(space, b, sb, a, sa) is None:
             return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
 
 

@@ -84,6 +84,28 @@ def test_polarize_matches_the_library_verdict(mirror_scenario, capsys):
     assert doc["strictness_convention"] == "one_event"
 
 
+def test_polarize_reports_the_scenarios_action_movement(tmp_path, capsys):
+    scenario = SCENARIOS / "mirror-priors-2x2.json"
+    flags = ["--order", "cw", "--mode", "limit"]
+    code, plain = _run_json(capsys, ["polarize", str(scenario), *flags])
+    assert code == 0 and "action" not in plain
+    doc = json.loads(scenario.read_text())
+    path = tmp_path / "with-utility.json"
+    path.write_text(json.dumps({**doc, "utility": ["0", "1", "1", "2"], "utility_family": "sums"}))
+    code, report = _run_json(capsys, ["polarize", str(path), *flags])
+    assert code == 0
+    # E[s1 + s2]: low 3/4 -> 1/2, high 5/4 -> 3/2
+    assert report.pop("action") == {
+        "utility_family": "sums",
+        "low_before": "3/4",
+        "low_after": "1/2",
+        "high_before": "5/4",
+        "high_after": "3/2",
+        "polarizes": True,
+    }
+    assert report == plain
+
+
 def test_compare_subcommand_matches_library(mirror_scenario, capsys):
     code, doc = _run_json(capsys, ["compare", mirror_scenario, "--order", "st"])
     assert code == 0

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayespol import (
     Belief,
@@ -128,6 +130,31 @@ def test_joint_solver_satisfies_all_relations():
     solution = _joint_strong_solve(GRID_3X3, chains, relations)
     for low_pos, high_pos in relations:
         assert compare_strong_cw(solution[low_pos], solution[high_pos]).holds
+
+
+def test_joint_solver_refuses_a_constraint_cycle():
+    # an antichain strictly below itself: each cut's prefix must exceed itself
+    chains = [(1, 2), (1, 2)]
+    for relations in ([(0, 1), (1, 0)], [(0, 1)]):
+        with pytest.raises(AssertionError, match="constraint cycle"):
+            _joint_strong_solve(GRID_2X2, chains, relations)
+
+
+@pytest.mark.parametrize("space", [GRID_2X3, GRID_3X3], ids=repr)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_full_box_gap_is_positive_iff_strongly_ordered(space, data):
+    weights = st.lists(st.integers(1, 9), min_size=space.size, max_size=space.size)
+    low, high = data.draw(weights), data.draw(weights)
+    # tilting the low side to the bottom corner and the high side to the top
+    # makes both outcomes common
+    tilt = data.draw(st.integers(0, 40))
+    low[0] += tilt
+    high[-1] += tilt
+    low, high = Belief.from_weights(space, low), Belief.from_weights(space, high)
+    full_box = (space.bottom, space.top)
+    for a, b in ((low, high), (high, low)):
+        assert (_box_cdf_gap(a, b, full_box) > 0) is compare_strong_cw(a, b).holds
 
 
 def _box_cdf_gap_by_states(low, high, box):

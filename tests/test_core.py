@@ -166,6 +166,21 @@ def test_booleans_are_not_rationals():
         StateSpace.make([[False, True], [0, 1]])
 
 
+@pytest.mark.parametrize("one", [True, 1.0, F(1)], ids=["bool", "float", "fraction"])
+def test_masses_that_are_not_ints_are_refused_by_field(one):
+    # each case sums to its denominator, so only the type check names the field
+    got = "must be an int, got " + re.escape(repr(one))
+    for make in (Belief, LikelihoodFn):
+        with pytest.raises(TypeError, match=r"^nums\[0\] " + got):
+            make(GRID_2X2, (one,) * 4, 4)
+        with pytest.raises(TypeError, match=r"^nums\[3\] " + got):
+            make(GRID_2X2, (0, 0, 0, one), 1)
+        with pytest.raises(TypeError, match="^den " + got):
+            make(GRID_2X2, (0, 0, 0, 1), one)
+    with pytest.raises(TypeError, match=r"^nums\[0\] must be an int"):
+        Belief.from_weights(GRID_2X2, [one, 1, 1, 1])
+
+
 def test_uniform_on_rejects_a_subset_of_another_space():
     assert Belief.uniform_on(GRID_2X2, DIAGONAL).masses() == (F(1, 2), 0, 0, F(1, 2))
     with pytest.raises(ValueError, match="different space"):

@@ -30,9 +30,9 @@ from bayespol import (
 )
 from bayespol.orders import (
     DEFAULT_UPPER_SET_CAP,
+    _cdf_failure,
     _family_masks,
     _max_closure,
-    _strong_cw_failure,
     _upper_set_masks,
     additive_parts,
     canonical_basis,
@@ -451,24 +451,38 @@ def test_strong_cw_fails_on_equal_beliefs_with_axis_witness():
     assert verdict.axis == 0 and verdict.cut == 0
 
 
+def _weak_cdf_failure_by_fractions(a, b):
+    """First ``(axis, cut)`` where a's marginal cdf, in ``Fraction``s, is
+    below b's."""
+    for axis in range(a.space.ndim):
+        a_cdf, b_cdf = a.marginal(axis).cdf, b.marginal(axis).cdf
+        for cut in range(len(a_cdf) - 1):
+            if a_cdf[cut] < b_cdf[cut]:
+                return axis, cut
+    return None
+
+
 @settings(max_examples=400)
 @given(_st_pairs(), st.integers(1, 6), st.integers(1, 6))
 def test_strong_cw_kernel_matches_the_state_loop(pair, low_scale, high_scale):
-    """Both directions, on reduced beliefs and on unreduced numerators."""
+    """Both directions, on reduced beliefs and on unreduced numerators; the
+    weak kernel against ``Fraction`` marginal cdfs, ties included."""
     low, high = pair
     space = low.space
-    for a, b in ((low, high), (high, low)):
+    for a, b in ((low, high), (high, low), (low, low)):
         expected = strong_cw_failure_by_state_loop(a, b)
         verdict = compare_strong_cw(a, b)
         assert verdict.holds is (expected is None)
         assert (verdict.axis, verdict.cut) == (expected or (None, None))
-        assert _strong_cw_failure(
+        scaled = (
             space,
             [low_scale * n for n in a.nums],
             low_scale * a.den,
             [high_scale * n for n in b.nums],
             high_scale * b.den,
-        ) == expected
+        )
+        assert _cdf_failure(*scaled) == expected
+        assert _cdf_failure(*scaled, strict=False) == _weak_cdf_failure_by_fractions(a, b)
 
 
 @given(beliefs(GRID_2X3, full_support=True), beliefs(GRID_2X3, full_support=True))

@@ -88,6 +88,14 @@ def test_strong_middle_mode():
         limit(ST, MIRROR_LOW, MIRROR_HIGH, DIAGONAL, strong_middle=True)
 
 
+@pytest.mark.parametrize("strong", ["no", 0, 1, None])
+def test_strong_middle_must_be_a_bool(strong):
+    with pytest.raises(ValueError, match="^strong_middle must be a bool"):
+        limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL, strong)
+    with pytest.raises(ValueError, match="^strong_middle must be a bool"):
+        PolarizationReport(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL, strong, Strictness.ONE_EVENT)
+
+
 def test_one_shot_upper_set_random_sweep_finds_nothing():
     rng = random.Random(77)
     for space in (GRID_2X2, GRID_2X3):

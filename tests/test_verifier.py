@@ -105,6 +105,12 @@ def test_strong_outside_the_coordinatewise_limit_cell_is_refused(kind, mode):
         SweepConfig(kind, mode, (2, 2), trials=50, strong=True)
 
 
+@pytest.mark.parametrize("strong", ["no", 0, 1, None])
+def test_strong_must_be_a_bool(strong):
+    with pytest.raises(ValueError, match="^strong must be a bool"):
+        SweepConfig(CW, Mode.LIMIT, (2, 2), trials=5, strong=strong)
+
+
 def test_strong_sweep_respects_the_pinned_set():
     config = SweepConfig(
         CW,
