@@ -10,14 +10,13 @@ impossibility results.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .bayes import Evidence, LikelihoodFn, _posterior, _posterior_nums, limit_posterior
+from .bayes import Evidence, LikelihoodFn, _movement, _posterior_nums, limit_posterior
 from .core import (
     Belief,
     RationalLike,
@@ -33,9 +32,9 @@ from .construct import (
     mirror_extremes_instance,
     mirror_extremes_threshold,
 )
-from .orders import UpperFamilyKind, _generating_basis, in_generating_class
+from .orders import UpperFamilyKind, _check_member, _generating_basis, in_generating_class
 from .polarization import Mode
-from .verifier import SweepConfig, _trials
+from .verifier import SweepConfig, _search
 
 
 class UtilityFamilyKind(Enum):
@@ -66,6 +65,7 @@ class UtilityFn:
     kind: UtilityFamilyKind
 
     def __post_init__(self) -> None:
+        _check_member("kind", self.kind, UtilityFamilyKind)
         values = tuple(frac(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
@@ -106,16 +106,31 @@ class ActionMovement:
 def action_polarizes(
     u: UtilityFn, prior_low: Belief, prior_high: Belief, evidence: Evidence
 ) -> ActionMovement:
-    """Movement of both groups' expected utilities under shared evidence."""
-    if u.space != prior_low.space or prior_low.space != prior_high.space:
+    """Movement of both groups' expected utilities under shared evidence.
+
+    Each after-expectation is ``Σu·j / t`` on ``_posterior_nums``'s
+    unnormalized posterior ``j`` and its sum ``t``; no posterior is built.
+    """
+    space = u.space
+    if space != prior_low.space or prior_low.space != prior_high.space:
         raise ValueError("utility and priors must share one space")
-    post_low = _posterior(prior_low, evidence)
-    post_high = _posterior(prior_high, evidence)
+    if isinstance(evidence, LikelihoodFn):
+        if evidence.space != space:
+            raise ValueError("prior and likelihood live on different spaces")
+    elif evidence.is_empty:
+        raise ValueError("identified set is empty")
+    elif evidence.space != space:
+        raise ValueError("subset lives on a different space")
+
+    def after(prior: Belief) -> Fraction:
+        joint, total = _posterior_nums(prior, evidence)
+        return sum(map(mul, u.values, joint)) / total
+
     return ActionMovement(
         low_before=u.expectation(prior_low),
-        low_after=u.expectation(post_low),
+        low_after=after(prior_low),
         high_before=u.expectation(prior_high),
-        high_after=u.expectation(post_high),
+        high_after=after(prior_high),
     )
 
 
@@ -152,19 +167,15 @@ def _all_basis_movements_polarize(
     """True iff every basis function's expectation strictly falls for the
     low agent and strictly rises for the high agent.
 
-    ``E_q[u] < E_p[u]`` is tested as ``Σu·q · p.den < Σu·p.nums · Σq`` on the
-    unnormalized posterior numerators ``q``, which is exact for rational
-    ``u`` and pure integer arithmetic when ``u`` has integer entries.  No
-    posterior ``Belief`` is built.
+    ``E_q[u] − E_p[u]`` has the sign of ``Σu·w`` with ``w`` the agent's
+    ``_movement``, a positive multiple of ``q − p``.  That is exact for
+    rational ``u`` and pure integer arithmetic when ``u`` has integer
+    entries.  No posterior ``Belief`` is built.
     """
-    ql, qld = _posterior_nums(prior_low, evidence)
-    qh, qhd = _posterior_nums(prior_high, evidence)
-    pl, ph = prior_low.nums, prior_high.nums
-    pld, phd = prior_low.den, prior_high.den
+    w_low = _movement(prior_low, evidence)
+    w_high = _movement(prior_high, evidence)
     for u in basis:
-        if sum(map(mul, u, ql)) * pld >= sum(map(mul, u, pl)) * qld:
-            return False
-        if sum(map(mul, u, qh)) * phd <= sum(map(mul, u, ph)) * qhd:
+        if sum(map(mul, u, w_low)) >= 0 or sum(map(mul, u, w_high)) <= 0:
             return False
     return True
 
@@ -188,6 +199,7 @@ def family_polarization_search(
     trials where every basis member's expectations strictly diverge; the
     returned evidence records that none were found.
     """
+    _check_member("family", family, UtilityFamilyKind)
     # Each function over its own positive common denominator: the same signs
     # in every comparison, and integer arithmetic in the predicate.
     funcs = tuple(
@@ -226,23 +238,14 @@ def family_polarization_search(
         _FAMILY_ORDER[family], mode, space.shape,
         trials=trials, seed=seed, mass_bound=mass_bound,
     )
-    start = time.perf_counter()
-    hits: list[dict] = []
-    for pl, ph, evidence in _trials(config, space):
+
+    def trial(pl: Belief, ph: Belief, evidence: Evidence) -> Optional[dict]:
         if _all_basis_movements_polarize(funcs, pl, ph, evidence):
-            hits.append(
-                {
-                    "prior_low": pl,
-                    "prior_high": ph,
-                    "evidence": evidence,
-                }
-            )
-    sweep = FamilySweepEvidence(
-        trials=trials,
-        seed=seed,
-        hits=tuple(hits),
-        elapsed=time.perf_counter() - start,
-    )
+            return {"prior_low": pl, "prior_high": ph, "evidence": evidence}
+        return None
+
+    trials_run, hits, elapsed = _search(config, space, trial)
+    sweep = FamilySweepEvidence(trials_run, seed, tuple(hits), elapsed)
     return FamilySearchOutcome(family, mode, False, None, None, None, sweep)
 
 

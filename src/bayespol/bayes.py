@@ -184,6 +184,15 @@ def _posterior_nums(prior: Belief, evidence: Evidence) -> tuple[list[int], int]:
     return post, total
 
 
+def _movement(prior: Belief, evidence: Evidence) -> list[int]:
+    """``j·D − n·t`` per state, ``t·D`` times posterior − prior: ``j`` and
+    ``t`` are ``_posterior_nums``'s numerators and their sum, ``n`` and ``D``
+    the prior's.  Every test of how evidence moves a prior reads this."""
+    joint, total = _posterior_nums(prior, evidence)
+    den = prior.den
+    return [j * den - n * total for j, n in zip(joint, prior.nums)]
+
+
 def update(prior: Belief, ell: LikelihoodFn) -> Belief:
     """One Bayes step: posterior proportional to prior times likelihood."""
     if prior.space != ell.space:
@@ -270,6 +279,8 @@ def simulate(
     carries the drawn realization, the exact posterior, and its total
     variation distance to the limit posterior.
     """
+    if type(horizon) is not int:
+        raise TypeError(f"horizon must be an int, got {horizon!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if not prior.full_support:

@@ -255,6 +255,10 @@ class StateSubset:
     mask: int
 
     def __post_init__(self) -> None:
+        # bool is an int subclass, and a float mask fails later in bitwise
+        # operations with a message that names no field.
+        if type(self.mask) is not int:
+            raise TypeError(f"mask must be an int, got {self.mask!r}")
         if not 0 <= self.mask <= self.space.full_mask:
             raise ValueError("mask out of range for space")
 

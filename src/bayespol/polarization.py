@@ -15,11 +15,12 @@ making it, by ``one_shot``, by ``limit`` or directly, validates every input
 and, in the coordinatewise limit cells, runs the conditional-reduction
 self-check.  Making it settles ``low_drop`` and ``verdict``, link by link in
 chain order (``low_drop``, the middle link, ``high_rise``), and the verdict
-stops at the first link that fails.  The two posterior links are decided on
-the integer gap vector ``compare`` would form against the posterior, read
-off the prior's numerators and the evidence, so no posterior ``Belief`` is
-built for them and a miss builds none at all.  The links the verdict did not reach, both
-posteriors and the direction table are computed on first access and cached.
+stops at the first link that fails.  The two posterior links and the
+direction table are read off ``bayes._movement``, the integer vector that is
+a positive multiple of posterior − prior, so no posterior ``Belief`` is built
+for them and a miss builds none at all.  The links the verdict did not reach,
+both posteriors and the direction table are computed on first access and
+cached.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional, Union
 
-from .bayes import Evidence, LikelihoodFn, _posterior, _posterior_nums, update
+from .bayes import Evidence, LikelihoodFn, _movement, _posterior
 from .core import Belief, State, StateSubset
 from .orders import (
     DominanceVerdict,
@@ -59,13 +60,9 @@ class DirectionTable:
         return tuple(zip(self.states, self.low_signs, self.high_signs))
 
 
-def _movement_signs(prior: Belief, posterior: Belief) -> tuple[int, ...]:
-    pd, qd = prior.den, posterior.den
-    signs = []
-    for p, q in zip(prior.nums, posterior.nums):
-        diff = q * pd - p * qd
-        signs.append(0 if diff == 0 else (1 if diff > 0 else -1))
-    return tuple(signs)
+def _movement_signs(prior: Belief, evidence: Evidence) -> tuple[int, ...]:
+    """Sign of posterior − prior per state, off ``_movement``."""
+    return tuple([(g > 0) - (g < 0) for g in _movement(prior, evidence)])
 
 
 def _middle_holds(prior_gap: Union[DominanceVerdict, StrongCwVerdict]) -> bool:
@@ -84,18 +81,13 @@ def _posterior_link(
     """``compare(posterior, prior)``, or with ``rise`` ``compare(prior,
     posterior)``, without building the posterior.
 
-    The posterior's numerators are ``_posterior_nums``'s ``j`` over their sum
-    ``t``.  So the gaps ``compare`` forms are a positive multiple of
-    ``j·D − n·t``, with ``n`` the prior's numerators and ``D`` its
-    denominator, or of its negation for the high link; the relation and both
-    witnesses come out the same.
+    The gaps ``compare`` forms are a positive multiple of ``_movement``, or
+    of its negation for the high link, so the relation and both witnesses
+    come out the same.
     """
-    joint, total = _posterior_nums(prior, evidence)
-    nums, den = prior.nums, prior.den
+    w = _movement(prior, evidence)
     if rise:
-        w = [n * total - j * den for j, n in zip(joint, nums)]
-    else:
-        w = [j * den - n * total for j, n in zip(joint, nums)]
+        w = [-g for g in w]
     return _verdict_from_gaps(prior.space, kind, w, strictness)
 
 
@@ -206,11 +198,11 @@ class PolarizationReport:
 
     @cached_property
     def directions(self) -> DirectionTable:
-        pl, ph = self.prior_low, self.prior_high
+        pl, ph, evidence = self.prior_low, self.prior_high, self.evidence
         return DirectionTable(
             pl.space.states,
-            _movement_signs(pl, self.posterior_low),
-            _movement_signs(ph, self.posterior_high),
+            _movement_signs(pl, evidence),
+            _movement_signs(ph, evidence),
         )
 
     @property
@@ -328,60 +320,36 @@ def direction_analysis(
     if not (prior.full_support and prior_other.full_support):
         raise ValueError("direction analysis requires full-support priors")
     space = prior.space
-    q = update(prior, ell)
-    q_other = update(prior_other, ell)
-    signs = _movement_signs(prior, q)
-    signs_other = _movement_signs(prior_other, q_other)
-    table = DirectionTable(space.states, signs, signs_other)
+    if ell.space != space:
+        raise ValueError("prior and likelihood live on different spaces")
+    signs = _movement_signs(prior, ell)
+    signs_other = _movement_signs(prior_other, ell)
+    lo, hi = min(ell.nums), max(ell.nums)
+    argmin = [f for f, n in enumerate(ell.nums) if n == lo]
+    argmax = [f for f, n in enumerate(ell.nums) if n == hi]
+    # Unless nothing moves, both agents move weakly down at every
+    # minimum-likelihood state and weakly up at every maximum-likelihood one.
+    extremes_agree = not (any(signs) or any(signs_other)) or (
+        all(signs[f] <= 0 and signs_other[f] <= 0 for f in argmin)
+        and all(signs[f] >= 0 and signs_other[f] >= 0 for f in argmax)
+    )
 
-    lo = min(ell.nums)
-    hi = max(ell.nums)
-    argmin = tuple(space.state_at(f) for f, n in enumerate(ell.nums) if n == lo)
-    argmax = tuple(space.state_at(f) for f, n in enumerate(ell.nums) if n == hi)
-
-    moved = any(signs) or any(signs_other)
-    extremes_agree = True
-    if moved:
-        for state in argmin:
-            f = space.flat(state)
-            if signs[f] > 0 or signs_other[f] > 0:
-                extremes_agree = False
-        for state in argmax:
-            f = space.flat(state)
-            if signs[f] < 0 or signs_other[f] < 0:
-                extremes_agree = False
-
-    # A strict one-way crossing forbids even weakly opposite movement anywhere.
-    strict_down_up = [
-        f
-        for f in range(space.size)
-        if signs[f] <= 0 <= signs_other[f] and (signs[f] < 0 or signs_other[f] > 0)
-    ]
-    strict_up_down = [
-        f
-        for f in range(space.size)
-        if signs[f] >= 0 >= signs_other[f] and (signs[f] > 0 or signs_other[f] < 0)
-    ]
-    weak_down_up = [
-        f for f in range(space.size) if signs[f] <= 0 <= signs_other[f]
-    ]
-    weak_up_down = [
-        f for f in range(space.size) if signs[f] >= 0 >= signs_other[f]
-    ]
+    # A strict one-way crossing (a state where the agents move weakly apart
+    # and not both stay) forbids even weakly opposite movement anywhere.
+    weak_down_up = [f for f in range(space.size) if signs[f] <= 0 <= signs_other[f]]
+    weak_up_down = [f for f in range(space.size) if signs[f] >= 0 >= signs_other[f]]
+    states = space.states
     crossings = [
-        (space.state_at(f), space.state_at(g))
-        for f in strict_down_up
-        for g in weak_up_down
-    ]
-    crossings += [
-        (space.state_at(f), space.state_at(g))
-        for f in strict_up_down
-        for g in weak_down_up
+        (states[f], states[g])
+        for one_way, opposite in ((weak_down_up, weak_up_down), (weak_up_down, weak_down_up))
+        for f in one_way
+        if signs[f] or signs_other[f]
+        for g in opposite
     ]
     return DirectionAnalysis(
-        table=table,
-        min_likelihood_states=argmin,
-        max_likelihood_states=argmax,
+        table=DirectionTable(states, signs, signs_other),
+        min_likelihood_states=tuple([states[f] for f in argmin]),
+        max_likelihood_states=tuple([states[f] for f in argmax]),
         extremes_agree=extremes_agree,
         crossing_pairs=tuple(crossings),
     )

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product as _cartesian
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bayes import Evidence, LikelihoodFn
 from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
@@ -311,20 +311,36 @@ def _trials(
             yield pl, ph, StateSubset(space, rng.randrange(1, space.full_mask))
 
 
+def _search(
+    config: SweepConfig, space: StateSpace, predicate: Callable[..., object]
+) -> tuple[int, list, float]:
+    """The plan's trials on ``space`` run through ``predicate``: the trial
+    count, every outcome but ``None`` in trial order, and the seconds taken."""
+    start = time.perf_counter()
+    outcomes = []
+    trials_run = 0
+    for pl, ph, evidence in _trials(config, space):
+        trials_run += 1
+        outcome = predicate(pl, ph, evidence)
+        if outcome is not None:
+            outcomes.append(outcome)
+    return trials_run, outcomes, time.perf_counter() - start
+
+
 def sweep(config: SweepConfig) -> SweepReport:
     """Run one cell's search and collect every polarization hit."""
-    start = time.perf_counter()
-    hits: list[SweepHit] = []
-    trials_run = 0
-    for pl, ph, evidence in _trials(config, config.space):
-        trials_run += 1
+
+    def trial(pl: Belief, ph: Belief, evidence: Evidence) -> Optional[SweepHit]:
+        # one_shot and limit are module globals, looked up per trial, so a
+        # hook that rebinds them here sees every trial.
         if config.mode is Mode.ONE_SHOT:
             report = one_shot(config.kind, pl, ph, evidence)
         else:
             report = limit(config.kind, pl, ph, evidence, strong_middle=config.strong)
-        if report.verdict:
-            hits.append(SweepHit(report))
-    return SweepReport(config, trials_run, tuple(hits), time.perf_counter() - start)
+        return SweepHit(report) if report.verdict else None
+
+    trials_run, hits, elapsed = _search(config, config.space, trial)
+    return SweepReport(config, trials_run, tuple(hits), elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -362,24 +378,20 @@ def direction_consistency_sweep(config: SweepConfig) -> DirectionSweepReport:
     """
     if config.mode is not Mode.ONE_SHOT:
         raise ValueError("mode must be oneshot: the direction sweep draws likelihoods")
-    start = time.perf_counter()
-    violations: list[DirectionViolation] = []
-    trials_run = skipped = 0
-    for p, p_other, ell in _trials(config, config.space):
-        trials_run += 1
+    skipped = 0
+
+    def trial(p: Belief, p_other: Belief, ell: LikelihoodFn) -> Optional[DirectionViolation]:
+        nonlocal skipped
         if ell.is_constant:
             skipped += 1
-            continue
+            return None
         outcome = direction_analysis(p, p_other, ell)
-        if not outcome.consistent:
-            violations.append(
-                DirectionViolation(
-                    p, p_other, ell, outcome.extremes_agree, outcome.crossing_pairs
-                )
-            )
-    return DirectionSweepReport(
-        config, trials_run, skipped, tuple(violations), time.perf_counter() - start
-    )
+        if outcome.consistent:
+            return None
+        return DirectionViolation(p, p_other, ell, outcome.extremes_agree, outcome.crossing_pairs)
+
+    trials_run, violations, elapsed = _search(config, config.space, trial)
+    return DirectionSweepReport(config, trials_run, skipped, tuple(violations), elapsed)
 
 
 def opposite_direction_witness(space: StateSpace) -> tuple[Belief, Belief, LikelihoodFn]:

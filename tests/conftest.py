@@ -15,7 +15,7 @@ from bayespol import (
     limit_posterior,
     update,
 )
-from bayespol.polarization import DirectionTable, _movement_signs
+from bayespol.polarization import DirectionAnalysis, DirectionTable
 
 GRID_2X2 = StateSpace.grid(2, 2)
 GRID_2X3 = StateSpace.grid(2, 3)
@@ -157,6 +157,77 @@ def reduced_links_by_compare(prior_low, prior_high, identified):
     return low, high
 
 
+def movement_signs_by_posterior(prior, posterior):
+    """Sign of posterior − prior per state, cross-multiplied against a built
+    posterior: the slow path ``_movement_signs`` replaced."""
+    pd, qd = prior.den, posterior.den
+    signs = []
+    for p, q in zip(prior.nums, posterior.nums):
+        diff = q * pd - p * qd
+        signs.append(0 if diff == 0 else (1 if diff > 0 else -1))
+    return tuple(signs)
+
+
+def direction_analysis_by_posteriors(prior, prior_other, ell):
+    """``direction_analysis`` as it was before it read ``bayes._movement``:
+    both posteriors by ``update``, then state-by-state loops."""
+    if prior.space != prior_other.space:
+        raise ValueError("priors live on different spaces")
+    if not (prior.full_support and prior_other.full_support):
+        raise ValueError("direction analysis requires full-support priors")
+    space = prior.space
+    signs = movement_signs_by_posterior(prior, update(prior, ell))
+    signs_other = movement_signs_by_posterior(prior_other, update(prior_other, ell))
+    table = DirectionTable(space.states, signs, signs_other)
+
+    lo = min(ell.nums)
+    hi = max(ell.nums)
+    argmin = tuple(space.state_at(f) for f, n in enumerate(ell.nums) if n == lo)
+    argmax = tuple(space.state_at(f) for f, n in enumerate(ell.nums) if n == hi)
+
+    moved = any(signs) or any(signs_other)
+    extremes_agree = True
+    if moved:
+        for state in argmin:
+            f = space.flat(state)
+            if signs[f] > 0 or signs_other[f] > 0:
+                extremes_agree = False
+        for state in argmax:
+            f = space.flat(state)
+            if signs[f] < 0 or signs_other[f] < 0:
+                extremes_agree = False
+
+    strict_down_up = [
+        f
+        for f in range(space.size)
+        if signs[f] <= 0 <= signs_other[f] and (signs[f] < 0 or signs_other[f] > 0)
+    ]
+    strict_up_down = [
+        f
+        for f in range(space.size)
+        if signs[f] >= 0 >= signs_other[f] and (signs[f] > 0 or signs_other[f] < 0)
+    ]
+    weak_down_up = [f for f in range(space.size) if signs[f] <= 0 <= signs_other[f]]
+    weak_up_down = [f for f in range(space.size) if signs[f] >= 0 >= signs_other[f]]
+    crossings = [
+        (space.state_at(f), space.state_at(g))
+        for f in strict_down_up
+        for g in weak_up_down
+    ]
+    crossings += [
+        (space.state_at(f), space.state_at(g))
+        for f in strict_up_down
+        for g in weak_down_up
+    ]
+    return DirectionAnalysis(
+        table=table,
+        min_likelihood_states=argmin,
+        max_likelihood_states=argmax,
+        extremes_agree=extremes_agree,
+        crossing_pairs=tuple(crossings),
+    )
+
+
 # The chain fields a report exposes, settled or cached.
 CHAIN_FIELDS = (
     "kind",
@@ -204,7 +275,9 @@ def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, 
         prior_gap=prior_gap,
         high_rise=high_rise,
         directions=DirectionTable(
-            pl.space.states, _movement_signs(pl, ql), _movement_signs(ph, qh)
+            pl.space.states,
+            movement_signs_by_posterior(pl, ql),
+            movement_signs_by_posterior(ph, qh),
         ),
         strong_middle=strong_middle,
         strictness=strictness,

@@ -88,6 +88,28 @@ def test_action_polarizes_accepts_likelihood_evidence():
     assert via_set == via_likelihood
 
 
+@given(beliefs(GRID_2X2, full_support=True), beliefs(GRID_2X2, full_support=True),
+       likelihoods(GRID_2X2), subsets(GRID_2X2))
+def test_action_movement_matches_the_built_posteriors(low, high, ell, subset):
+    u = UtilityFn(GRID_2X2, (F(0), F(1, 2), F(1), F(3, 2)), SUMS)
+    for evidence in (ell, subset):
+        movement = action_polarizes(u, low, high, evidence)
+        assert movement.low_after == u.expectation(_posterior(low, evidence))
+        assert movement.high_after == u.expectation(_posterior(high, evidence))
+
+
+def test_action_polarizes_refuses_evidence_it_cannot_apply():
+    u = UtilityFn(GRID_2X2, (F(0), F(1), F(1), F(2)), SUMS)
+    other = StateSpace.make([[0, 1], [0, 2]])
+    for evidence, message in (
+        (LikelihoodFn(other, (1, 0, 0, 1), 1), "prior and likelihood live on different spaces"),
+        (StateSubset(other, 0b1001), "subset lives on a different space"),
+        (StateSubset.empty(GRID_2X2), "identified set is empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            action_polarizes(u, MIRROR_LOW, MIRROR_HIGH, evidence)
+
+
 # -- family search -------------------------------------------------------------
 
 

@@ -18,7 +18,7 @@ from bayespol import (
     update,
     UpperFamilyKind,
 )
-from bayespol.bayes import _posterior, _posterior_nums
+from bayespol.bayes import _movement, _posterior, _posterior_nums
 
 from conftest import (
     CORNER_LIKELIHOOD,
@@ -125,6 +125,18 @@ def test_posterior_nums_are_every_posteriors_numerators(prior, ell, subset):
         for build in builders:
             assert build(prior, evidence).masses() == masses
         assert _posterior(prior, evidence) == builders[0](prior, evidence)
+
+
+@given(beliefs(GRID_2X2, full_support=True), likelihoods(GRID_2X2), subsets(GRID_2X2, proper=False))
+def test_movement_is_a_positive_multiple_of_posterior_minus_prior(prior, ell, subset):
+    # constant likelihoods and the full set move nothing; ties are common at
+    # denominator 4
+    for evidence in (ell, subset):
+        w = _movement(prior, evidence)
+        diff = [q - p for q, p in zip(_posterior(prior, evidence).masses(), prior.masses())]
+        assert [g == 0 for g in w] == [d == 0 for d in diff]
+        ratios = {F(g) / d for g, d in zip(w, diff) if d}
+        assert len(ratios) <= 1 and all(r > 0 for r in ratios)
 
 
 # -- signals and identified sets ---------------------------------------------
@@ -247,6 +259,13 @@ def test_simulate_requires_full_support():
     thin = Belief.from_fractions(GRID_2X2, ["1/2", "1/2", "0", "0"])
     with pytest.raises(ValueError, match="full-support"):
         simulate(thin, NOISY_DIAGONAL, (0, 0), 3, seed=0)
+
+
+@pytest.mark.parametrize("horizon", [True, 2.5, F(2)], ids=["bool", "float", "fraction"])
+def test_simulate_refuses_a_horizon_that_is_not_an_int(horizon):
+    # True used to run one step, and 2.5 failed inside range()
+    with pytest.raises(TypeError, match="^horizon must be an int, got "):
+        simulate(MIRROR_LOW, NOISY_DIAGONAL, (0, 0), horizon, seed=0)
 
 
 @given(st.integers(min_value=0, max_value=2**32))

@@ -181,6 +181,14 @@ def test_masses_that_are_not_ints_are_refused_by_field(one):
         Belief.from_weights(GRID_2X2, [one, 1, 1, 1])
 
 
+@pytest.mark.parametrize("one", [True, 1.0, F(1)], ids=["bool", "float", "fraction"])
+def test_masks_that_are_not_ints_are_refused(one):
+    # True used to stand for {(0, 0)}, and a float mask failed only later, in
+    # flats() or in a limit link, with an operand error that named no field
+    with pytest.raises(TypeError, match="^mask must be an int, got " + re.escape(repr(one))):
+        StateSubset(GRID_2X2, one)
+
+
 def test_uniform_on_rejects_a_subset_of_another_space():
     assert Belief.uniform_on(GRID_2X2, DIAGONAL).masses() == (F(1, 2), 0, 0, F(1, 2))
     with pytest.raises(ValueError, match="different space"):

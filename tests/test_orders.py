@@ -20,10 +20,12 @@ from bayespol import (
     Strictness,
     SweepConfig,
     UpperFamilyKind,
+    UtilityFn,
     compare,
     compare_by_generators,
     compare_strong_cw,
     event_family,
+    family_polarization_search,
     leq,
     limit,
     one_shot,
@@ -613,6 +615,8 @@ NON_MEMBER_CALLS = [
     (lambda: SweepConfig("st", Mode.LIMIT, (2, 2)), "kind"),
     (lambda: SweepConfig(ST, "oneshot", (2, 2)), "mode"),
     (lambda: SweepConfig(ST, None, (2, 2)), "mode"),
+    (lambda: UtilityFn(GRID_2X2, (0, 1, 1, 2), "sums"), "kind"),
+    (lambda: family_polarization_search("sums", Mode.LIMIT, GRID_2X2), "family"),
 ]
 
 
@@ -625,12 +629,13 @@ NON_MEMBER_CALLS = [
         "one_shot-kind",
         "one_shot-strictness", "limit-kind", "limit-strictness",
         "report-kind", "report-strictness", "sweep-kind",
-        "sweep-mode", "sweep-mode-none",
+        "sweep-mode", "sweep-mode-none", "utility-kind", "family-search-family",
     ],
 )
 def test_non_enum_values_are_refused_by_name(call, field):
     # Dispatch tests enum members by identity: "st" used to run the
     # coordinatewise branch, "uo" to list the upper sets, "one_event" to mean
-    # ALL_EVENTS and a "oneshot" sweep to run limit trials.
+    # ALL_EVENTS and a "oneshot" sweep to run limit trials; a "sums" family
+    # raised a bare KeyError.
     with pytest.raises(ValueError, match=f"^{field} must be a member of "):
         call()

@@ -23,7 +23,12 @@ from bayespol import Mode, PolarizationReport, Strictness, limit_posterior, pola
 from bayespol.construct import mirror_extremes_instance, mirror_extremes_threshold
 from bayespol.orders import DominanceVerdict, Relation
 from bayespol.polarization import _reduced_links
-from bayespol.verifier import _random_belief, _random_likelihood, _random_strong_pair
+from bayespol.verifier import (
+    _random_belief,
+    _random_likelihood,
+    _random_strong_pair,
+    opposite_direction_witness,
+)
 
 from conftest import (
     CHAIN_FIELDS,
@@ -36,6 +41,7 @@ from conftest import (
     MIRROR_LOW,
     beliefs,
     chain_report_eagerly,
+    direction_analysis_by_posteriors,
     likelihoods,
     reduced_links_by_compare,
     subsets,
@@ -620,6 +626,38 @@ def test_direction_signs_match_posterior_increase_on_singletons(p, p2, ell):
        likelihoods(GRID_2X3))
 def test_direction_restrictions_hold_universally(p, p2, ell):
     assert direction_analysis(p, p2, ell).consistent
+
+
+def test_direction_analysis_matches_the_posterior_oracle():
+    rng = random.Random(21)
+    cases = []
+    # every likelihood on the {0, 1/2, 1} grid on 2x2, constant ones included,
+    # against seeded prior pairs and a prior paired with itself
+    for values in itertools.product((0, 1, 2), repeat=4):
+        if any(values):
+            ell = LikelihoodFn(GRID_2X2, values, 2)
+            cases.append((MIRROR_LOW, MIRROR_LOW, ell))
+            for _ in range(4):
+                pair = [_random_belief(rng, GRID_2X2, 4) for _ in range(2)]
+                cases.append((*pair, ell))
+    levels = (F(0), F(1, 4), F(1, 2), F(1))
+    for space in (GRID_2X3, GRID_3X3):
+        cases.append(opposite_direction_witness(space))
+        for _ in range(150):
+            pair = [_random_belief(rng, space, 12) for _ in range(2)]
+            cases.append((*pair, _random_likelihood(rng, space, levels)))
+    still = 0
+    for p, p_other, ell in cases:
+        outcome = direction_analysis(p, p_other, ell)
+        assert outcome == direction_analysis_by_posteriors(p, p_other, ell)
+        signs = outcome.table.low_signs + outcome.table.high_signs
+        still += any(signs) and 0 in signs
+    # a moving table with a state that stays put
+    assert still > 0
+    other = LikelihoodFn(StateSpace.make([[0, 1], [0, 2]]), (1, 0, 0, 1), 1)
+    for analyse in (direction_analysis, direction_analysis_by_posteriors):
+        with pytest.raises(ValueError, match="prior and likelihood live on different spaces"):
+            analyse(MIRROR_LOW, MIRROR_HIGH, other)
 
 
 def test_report_directions_match_movements():
