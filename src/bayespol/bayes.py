@@ -283,6 +283,9 @@ def simulate(
         raise TypeError(f"horizon must be an int, got {horizon!r}")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    # random.Random hashes any seed it is given, so 1.5 or "x" would run.
+    if type(seed) is not int:
+        raise TypeError(f"seed must be an int, got {seed!r}")
     if not prior.full_support:
         raise ValueError("simulation requires a full-support prior")
     rng = random.Random(seed)

@@ -22,6 +22,7 @@ import graphlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bayes import LikelihoodFn
@@ -42,6 +43,11 @@ _MAX_DELTA_INVERSE = 2**64
 # The one-shot orthant search tries concentrations n = 3, 4, ..., up to the cap.
 _ONE_SHOT_N_START = 3
 _ONE_SHOT_N_CAP = 2**20
+
+# Antichain quadruples whose conditional pieces are kept.  The CLI scans grids
+# of up to 16 states, and the one with the most distinct quadruples, 4x4,
+# meets 710.
+_PIECES_CACHE_SIZE = 1024
 
 _Box = tuple[State, State]  # inclusive (low corner, high corner) index bounds
 
@@ -297,6 +303,20 @@ def _conditional_pieces(
     return (*pieces, gap / 2)
 
 
+@lru_cache(maxsize=_PIECES_CACHE_SIZE)
+def _grid_pieces(
+    shape: tuple[int, ...], a: int, b: int, c: int, d: int
+) -> tuple[Belief, Belief, Belief, Belief, Fraction]:
+    """``_conditional_pieces`` on ``StateSpace.grid(*shape)`` for four masks.
+
+    The pieces read the grid order alone, never the axis values, and the
+    builder reads only their integers, so one build per shape and antichain
+    quadruple serves every space of that shape.
+    """
+    space = StateSpace.grid(*shape)
+    return _conditional_pieces(space, *(StateSubset(space, m) for m in (a, b, c, d)))
+
+
 def _layers(
     space: StateSpace,
     core: Belief,
@@ -349,6 +369,8 @@ def build_polarizing_priors(
     (d - 1)^2 p > (2d - 1) q, and the layer weights are integers over d^2,
     so the search and the mixtures run on integers.  A delta is accepted
     only when the assembled priors pass the exact polarization certificate.
+    The four antichain pieces come from ``_grid_pieces``, built once per
+    grid shape and antichain quadruple.
     """
     report = classify(space, identified)
     if not report.can_strongly_polarize:
@@ -360,8 +382,8 @@ def build_polarizing_priors(
     complement = identified.complement()
     low_min, high_max = min_set(identified), max_set(identified)
     comp_max, comp_min = max_set(complement), min_set(complement)
-    low_core, high_core, low_comp, high_comp, epsilon = _conditional_pieces(
-        space, low_min, high_max, comp_max, comp_min
+    low_core, high_core, low_comp, high_comp, epsilon = _grid_pieces(
+        space.shape, low_min.mask, high_max.mask, comp_max.mask, comp_min.mask
     )
     low_parts = _layers(
         space,

@@ -214,6 +214,12 @@ class PolarizationReport:
         }
 
 
+def _require_likelihood(ell: LikelihoodFn) -> None:
+    """Refuse one-shot evidence that is not a likelihood, naming ``ell``."""
+    if not isinstance(ell, LikelihoodFn):
+        raise ValueError(f"ell must be a LikelihoodFn, got {type(ell).__name__}")
+
+
 def one_shot(
     kind: UpperFamilyKind,
     prior_low: Belief,
@@ -222,8 +228,7 @@ def one_shot(
     strictness: Strictness = Strictness.ONE_EVENT,
 ) -> PolarizationReport:
     """Polarization verdict after both agents observe one realization."""
-    if not isinstance(ell, LikelihoodFn):
-        raise ValueError(f"ell must be a LikelihoodFn, got {type(ell).__name__}")
+    _require_likelihood(ell)
     return PolarizationReport(kind, prior_low, prior_high, ell, False, strictness)
 
 
@@ -315,6 +320,7 @@ def direction_analysis(
     violation would indicate an arithmetic bug, so they are reported rather
     than silently ignored.
     """
+    _require_likelihood(ell)
     if prior.space != prior_other.space:
         raise ValueError("priors live on different spaces")
     if not (prior.full_support and prior_other.full_support):

@@ -133,6 +133,21 @@ def test_ac3_classification_biconditional_exhaustive():
                 assert passers == [diagonal.mask]
 
 
+def test_ac3_classify_and_build_every_4x4_set():
+    with _Budget("AC3 classify-and-build on 4x4", 120.0):
+        space = StateSpace.grid(4, 4)
+        built = 0
+        for mask in range(1, space.full_mask):
+            subset = StateSubset(space, mask)
+            if not classify(space, subset).can_strongly_polarize:
+                continue
+            result = build_polarizing_priors(space, subset)
+            assert result.certificate.verdict, subset
+            assert result.certificate.strong_middle
+            built += 1
+        assert built == 37054
+
+
 def test_ac4_necessity_evidence():
     with _Budget("AC4 necessity sweeps on failing sets", 600.0):
         for shape in ((2, 2), (2, 3)):

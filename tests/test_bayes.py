@@ -268,6 +268,13 @@ def test_simulate_refuses_a_horizon_that_is_not_an_int(horizon):
         simulate(MIRROR_LOW, NOISY_DIAGONAL, (0, 0), horizon, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "x"], ids=["float", "bool", "str"])
+def test_simulate_refuses_a_seed_that_is_not_an_int(seed):
+    # random.Random hashes any of these, so each used to run silently
+    with pytest.raises(TypeError, match="^seed must be an int, got "):
+        simulate(MIRROR_LOW, NOISY_DIAGONAL, (0, 0), 3, seed=seed)
+
+
 @given(st.integers(min_value=0, max_value=2**32))
 def test_simulate_tv_is_recorded_on_every_record(seed):
     records = simulate(MIRROR_LOW, NOISY_DIAGONAL, (0, 0), 3, seed=seed)

@@ -25,7 +25,13 @@ from bayespol import (
     mirror_extremes_threshold,
     one_shot_orthant_instance,
 )
-from bayespol.construct import _box_cdf_gap, _joint_strong_solve
+from bayespol.construct import (
+    _PIECES_CACHE_SIZE,
+    _box_cdf_gap,
+    _conditional_pieces,
+    _grid_pieces,
+    _joint_strong_solve,
+)
 from bayespol.classifier import max_set, min_set
 
 from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, OFF_DIAGONAL
@@ -275,6 +281,107 @@ def test_build_polarizing_priors_matches_its_pinned_digest(shape, passing, diges
         built += 1
     assert built == passing
     assert h.hexdigest()[:16] == digest
+
+
+def _passing_subsets(space):
+    subsets = [StateSubset(space, mask) for mask in range(1, space.full_mask)]
+    return [s for s in subsets if classify(space, s).can_strongly_polarize]
+
+
+def _antichains(subset):
+    """min(I), max(I), max of the complement, min of the complement."""
+    complement = subset.complement()
+    return min_set(subset), max_set(subset), max_set(complement), min_set(complement)
+
+
+def _assert_same_pieces(cached, oracle):
+    assert [(p.nums, p.den) for p in cached[:4]] == [(p.nums, p.den) for p in oracle[:4]]
+    assert cached[4] == oracle[4]
+
+
+@pytest.mark.parametrize(
+    "shape,quadruples", [((2, 3), 7), ((3, 3), 50), ((2, 4), 18), ((3, 4), 165)]
+)
+def test_cached_pieces_match_the_uncached_oracle(shape, quadruples):
+    space = StateSpace.grid(*shape)
+    seen = {}
+    for subset in _passing_subsets(space):
+        sets = _antichains(subset)
+        seen[tuple(s.mask for s in sets)] = sets
+    assert len(seen) == quadruples
+    for masks, sets in seen.items():
+        cached = _grid_pieces(shape, *masks)
+        oracle = _conditional_pieces(space, *sets)
+        _assert_same_pieces(cached, oracle)
+
+
+def test_pieces_are_kept_per_grid_shape():
+    # one mask quadruple, two grids: its antichains and pieces differ
+    masks = (1, 1152, 2048, 18)
+    epsilons = []
+    for shape in ((6, 2), (3, 4)):
+        space = StateSpace.grid(*shape)
+        oracle = _conditional_pieces(space, *(StateSubset(space, m) for m in masks))
+        cached = _grid_pieces(shape, *masks)
+        _assert_same_pieces(cached, oracle)
+        epsilons.append(cached[4])
+    assert epsilons == [F(1, 8), F(1, 4)]
+
+
+def _builds_digest(results):
+    h = hashlib.sha256()
+    for mask, result in sorted(results.items()):
+        low, high = result.prior_low, result.prior_high
+        h.update(repr((mask, low.nums, low.den, high.nums, high.den,
+                       str(result.epsilon), str(result.delta))).encode())
+    return h.hexdigest()[:16]
+
+
+def test_cold_and_warm_cache_builds_match_the_pinned_digest():
+    space = StateSpace.grid(3, 4)
+    passing = _passing_subsets(space)
+    _grid_pieces.cache_clear()
+    cold = {s.mask: build_polarizing_priors(space, s) for s in reversed(passing)}
+    assert _grid_pieces.cache_info().misses == 165
+    assert _builds_digest(cold) == "df6582536fac0ef6"
+    warm = {s.mask: build_polarizing_priors(space, s) for s in passing}
+    assert _grid_pieces.cache_info().misses == 165
+    assert _builds_digest(warm) == "df6582536fac0ef6"
+
+
+def test_pieces_cache_stays_within_its_bound():
+    # 4x4 and 3x5 hold 710 + 399 distinct quadruples, more than the bound
+    _grid_pieces.cache_clear()
+    keys = 0
+    for shape in ((4, 4), (3, 5)):
+        quadruples = {
+            tuple(s.mask for s in _antichains(subset))
+            for subset in _passing_subsets(StateSpace.grid(*shape))
+        }
+        for masks in quadruples:
+            _grid_pieces(shape, *masks)
+            assert _grid_pieces.cache_info().currsize <= _PIECES_CACHE_SIZE
+        keys += len(quadruples)
+    assert keys == 710 + 399
+    info = _grid_pieces.cache_info()
+    assert info.misses == keys and info.currsize == _PIECES_CACHE_SIZE
+
+
+def test_builds_on_a_labelled_space_match_the_grid():
+    labelled = StateSpace.make([[0, F(1, 2), 7], [-3, 0, 2, 9]])
+    grid = StateSpace.grid(3, 4)
+    passing = _passing_subsets(labelled)
+    assert [s.mask for s in passing] == [s.mask for s in _passing_subsets(grid)]
+    for subset in passing:
+        result = build_polarizing_priors(labelled, subset)
+        expected = build_polarizing_priors(grid, StateSubset(grid, subset.mask))
+        for built, pinned in ((result.prior_low, expected.prior_low),
+                              (result.prior_high, expected.prior_high)):
+            assert (built.nums, built.den) == (pinned.nums, pinned.den)
+        assert (result.epsilon, result.delta) == (expected.epsilon, expected.delta)
+        assert result.prior_low.space is labelled
+        assert result.prior_high.space is labelled
+        assert result.certificate.prior_low.space is labelled
 
 
 # -- mirror-extremes instances -----------------------------------------------------

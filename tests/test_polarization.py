@@ -660,6 +660,12 @@ def test_direction_analysis_matches_the_posterior_oracle():
             analyse(MIRROR_LOW, MIRROR_HIGH, other)
 
 
+def test_direction_analysis_refuses_a_subset_as_its_likelihood():
+    # a StateSubset used to fail deep inside with an AttributeError on nums
+    with pytest.raises(ValueError, match="^ell must be a LikelihoodFn, got StateSubset$"):
+        direction_analysis(MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
+
+
 def test_report_directions_match_movements():
     report = limit(CW, MIRROR_LOW, MIRROR_HIGH, DIAGONAL)
     ql = report.posterior_low
