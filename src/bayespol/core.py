@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -121,6 +121,10 @@ class StateSpace:
         One instance is shared per shape, so its cached order tables are
         worked out once for every caller.
         """
+        for i, n in enumerate(shape):
+            # bool is an int subclass, and True would make a one-value axis
+            if type(n) is not int:
+                raise TypeError(f"shape[{i}] must be an int, got {n!r}")
         return StateSpace.make([range(n) for n in shape])
 
     @property
@@ -207,6 +211,34 @@ class StateSpace:
             for axis, i in enumerate(state):
                 groups[axis][i].append(f)
         return tuple(tuple([tuple(g) for g in axis]) for axis in groups)
+
+    @cached_property
+    def cdf_cuts(self) -> tuple[tuple[int, int, Callable[[Sequence[int]], Sequence[int]]], ...]:
+        """Per interior cut of each axis, axis-major and by cut, ``(axis,
+        cut, get)``: ``sum(get(nums))`` is a mass vector's marginal cdf
+        numerator on ``axis`` at ``cut``, its mass on the states whose value
+        there is at most ``cut``.
+
+        A cut holding one state (the first cut of a 1-D grid) gets a
+        one-element slice, so ``get`` always returns a sequence.
+        """
+        cuts = []
+        for axis, groups in enumerate(self.axis_groups):
+            below: list[int] = []
+            for cut, group in enumerate(groups[:-1]):
+                below += group
+                if len(below) > 1:
+                    get = operator.itemgetter(*below)
+                else:
+                    get = operator.itemgetter(slice(below[0], below[0] + 1))
+                cuts.append((axis, cut, get))
+        return tuple(cuts)
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        """``orders._verdict_from_gaps``'s verdicts on this space, by outcome,
+        kept here so that every witness lives on the caller's space."""
+        return {}
 
     @cached_property
     def axis_extremes(self) -> tuple[tuple[int, int], ...]:
@@ -460,6 +492,9 @@ class Belief:
 
     def marginal_nums(self, axis: int) -> list[int]:
         """Per-value numerators of the marginal on one axis (over self.den)."""
+        # bool is an int subclass: True would index axis 1
+        if type(axis) is not int:
+            raise TypeError(f"axis must be an int, got {axis!r}")
         if not 0 <= axis < self.space.ndim:
             raise ValueError(f"axis {axis} out of range for {self.space.ndim}-d space")
         get = self.nums.__getitem__

@@ -26,6 +26,10 @@ DEFAULT_UPPER_SET_CAP = 10**6
 # holds one tuple of Fractions per event, so it keeps fewer.
 _FAMILY_CACHE_SIZE = 64
 _BASIS_CACHE_SIZE = 16
+# Distinct verdicts kept per space.  A coordinatewise or orthant outcome is
+# two witness masks and a flag, so on small grids a few dozen cover a sweep;
+# upper-set witnesses are min cuts and can number far more.
+_VERDICT_CACHE_SIZE = 4096
 
 
 class CapExceededError(ValueError):
@@ -419,12 +423,32 @@ def _verdict_from_gaps(
 
     Only the sign of each event's sum of ``w`` counts, so any positive
     multiple of the gaps gives the same relation and the same witnesses.
+    A verdict is a function of its witness masks and its strictness alone,
+    so each distinct outcome's verdict is built once per space, kept on the
+    space, and shared after that: verdicts and their witnesses are frozen.
+    Past ``_VERDICT_CACHE_SIZE`` outcomes on one space, new ones are built
+    and not kept.
     """
     one_event = strictness is Strictness.ONE_EVENT
     if kind is UpperFamilyKind.UPPER_SET:
         low_gt, high_gt, everywhere = _upper_set_gaps(space, w, one_event)
     else:
         low_gt, high_gt, everywhere = _orthant_gaps(space, kind, w)
+    key = (low_gt, high_gt, one_event or everywhere)
+    verdicts = space._verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = _build_verdict(space, *key)
+        if len(verdicts) < _VERDICT_CACHE_SIZE:
+            verdicts[key] = verdict
+    return verdict
+
+
+def _build_verdict(
+    space: StateSpace, low_gt: Optional[int], high_gt: Optional[int], strict: bool
+) -> DominanceVerdict:
+    """The verdict for the witness masks ``_verdict_from_gaps`` found; with
+    one side's gap alone, ``strict`` picks strictly over weakly."""
     if low_gt is not None and high_gt is not None:
         return DominanceVerdict(
             Relation.INCOMPARABLE,
@@ -433,7 +457,6 @@ def _verdict_from_gaps(
         )
     if low_gt is None and high_gt is None:
         return DominanceVerdict(Relation.EQUAL)
-    strict = one_event or everywhere
     if high_gt is not None:
         return DominanceVerdict(
             Relation.STRICTLY_BELOW if strict else Relation.WEAKLY_BELOW,
@@ -459,17 +482,14 @@ def _cdf_failure(
     they need not be reduced.  ``strict`` selects ``<=`` or ``<`` in place:
     the strong sampler calls this on every rejected draw, and folding it
     into the gap (``gap < strict``) measured 2–3% slower per draw on 2x3 and
-    3x3 under CPython 3.11.
+    3x3 under CPython 3.11.  Each cdf is one sum through the space's
+    ``cdf_cuts`` getter.
     """
-    aget, bget = a_nums.__getitem__, b_nums.__getitem__
-    for axis, groups in enumerate(space.axis_groups):
-        ac = bc = 0
-        for cut in range(len(groups) - 1):
-            g = groups[cut]
-            ac += sum(map(aget, g))
-            bc += sum(map(bget, g))
-            if (ac * b_den <= bc * a_den) if strict else (ac * b_den < bc * a_den):
-                return axis, cut
+    for axis, cut, get in space.cdf_cuts:
+        ac = sum(get(a_nums))
+        bc = sum(get(b_nums))
+        if (ac * b_den <= bc * a_den) if strict else (ac * b_den < bc * a_den):
+            return axis, cut
     return None
 
 

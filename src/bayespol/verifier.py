@@ -236,7 +236,16 @@ def _random_belief(rng: random.Random, space: StateSpace, bound: int) -> Belief:
 def _random_likelihood(
     rng: random.Random, space: StateSpace, levels: tuple[Fraction, ...]
 ) -> LikelihoodFn:
-    nums, den = over_common_denominator(levels)
+    """A likelihood drawn as a one-shot trial draws it, from rational levels;
+    ``_trials`` puts its plan's levels over one denominator once instead."""
+    return _draw_likelihood(rng, space, *over_common_denominator(levels))
+
+
+def _draw_likelihood(
+    rng: random.Random, space: StateSpace, nums: tuple[int, ...], den: int
+) -> LikelihoodFn:
+    """A likelihood whose values are drawn from the levels ``nums`` over
+    ``den``, with one state set to 1 when every draw is 0."""
     # _draw_weights(rng, k, n) draws 1 + rng.randrange(n), k times over
     picks = [nums[i - 1] for i in _draw_weights(rng, space.size, len(nums))]
     if not any(picks):
@@ -249,17 +258,22 @@ def _random_strong_pair(
 ) -> tuple[Belief, Belief]:
     """Rejection-sample a strongly coordinatewise ordered full-support pair.
 
-    Each draw is two weight vectors, tested in both directions on the raw
-    integers; only the accepted pair becomes ``Belief``s.
+    Each round draws two weight vectors in one call and tests them on the
+    raw integers, the first below the second, then, unless that test already
+    rules it out, the second below the first; only the accepted pair becomes
+    ``Belief``s.  A first test that fails past the first cut found the
+    first vector's cdf above the second's there, so the second cannot lie
+    strongly below it.
     """
     size = space.size
     while True:
-        a = _draw_weights(rng, size, bound)
-        b = _draw_weights(rng, size, bound)
+        w = _draw_weights(rng, 2 * size, bound)
+        a, b = w[:size], w[size:]
         sa, sb = sum(a), sum(b)
-        if _cdf_failure(space, a, sa, b, sb) is None:
+        failure = _cdf_failure(space, a, sa, b, sb)
+        if failure is None:
             return Belief(space, tuple(a), sa), Belief(space, tuple(b), sb)
-        if _cdf_failure(space, b, sb, a, sa) is None:
+        if failure == (0, 0) and _cdf_failure(space, b, sb, a, sa) is None:
             return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
 
 
@@ -275,6 +289,7 @@ def _trials(
     then the likelihood or, unless one is pinned, the evidence set.
     """
     one_shot_mode = config.mode is Mode.ONE_SHOT
+    level_nums, level_den = over_common_denominator(config.likelihood_levels)
     pinned = (
         StateSubset.from_states(space, config.identified_set)
         if config.identified_set is not None
@@ -304,7 +319,7 @@ def _trials(
             pl = _random_belief(rng, space, config.mass_bound)
             ph = _random_belief(rng, space, config.mass_bound)
         if one_shot_mode:
-            yield pl, ph, _random_likelihood(rng, space, config.likelihood_levels)
+            yield pl, ph, _draw_likelihood(rng, space, level_nums, level_den)
         elif pinned is not None:
             yield pl, ph, pinned
         else:

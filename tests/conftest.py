@@ -6,15 +6,19 @@ from hypothesis import strategies as st
 
 from bayespol import (
     Belief,
+    DominanceVerdict,
     LikelihoodFn,
+    Relation,
     StateSpace,
     StateSubset,
+    Strictness,
     UpperFamilyKind,
     compare,
     compare_strong_cw,
     limit_posterior,
     update,
 )
+from bayespol.orders import _orthant_gaps, _upper_set_gaps
 from bayespol.polarization import DirectionAnalysis, DirectionTable
 
 GRID_2X2 = StateSpace.grid(2, 2)
@@ -83,6 +87,34 @@ def strong_cw_failure_by_state_loop(low, high):
             if lc * high.den <= hc * low.den:
                 return axis, cut
     return None
+
+
+def verdict_from_gaps_by_construction(space, kind, w, strictness):
+    """``orders._verdict_from_gaps`` as it was before verdicts were shared:
+    a fresh ``DominanceVerdict`` and fresh witnesses on every call."""
+    one_event = strictness is Strictness.ONE_EVENT
+    if kind is UpperFamilyKind.UPPER_SET:
+        low_gt, high_gt, everywhere = _upper_set_gaps(space, w, one_event)
+    else:
+        low_gt, high_gt, everywhere = _orthant_gaps(space, kind, w)
+    if low_gt is not None and high_gt is not None:
+        return DominanceVerdict(
+            Relation.INCOMPARABLE,
+            StateSubset(space, low_gt),
+            StateSubset(space, high_gt),
+        )
+    if low_gt is None and high_gt is None:
+        return DominanceVerdict(Relation.EQUAL)
+    strict = one_event or everywhere
+    if high_gt is not None:
+        return DominanceVerdict(
+            Relation.STRICTLY_BELOW if strict else Relation.WEAKLY_BELOW,
+            StateSubset(space, high_gt),
+        )
+    return DominanceVerdict(
+        Relation.STRICTLY_ABOVE if strict else Relation.WEAKLY_ABOVE,
+        StateSubset(space, low_gt),
+    )
 
 
 def expectation_by_state_loop(belief, values):

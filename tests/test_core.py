@@ -215,6 +215,30 @@ def test_marginal_axis_out_of_range():
         MIRROR_LOW.marginal(2)
 
 
+@pytest.mark.parametrize(
+    "axis", [True, False, 1.0, F(0), "0"], ids=["true", "false", "float", "fraction", "str"]
+)
+def test_an_axis_that_is_not_an_int_is_refused_by_name(axis):
+    # True used to return axis 1's marginal, and 1.0 failed on a tuple index
+    got = "^axis must be an int, got " + re.escape(repr(axis))
+    with pytest.raises(TypeError, match=got):
+        MIRROR_LOW.marginal_nums(axis)
+    with pytest.raises(TypeError, match=got):
+        MIRROR_LOW.marginal(axis)
+
+
+@pytest.mark.parametrize(
+    "shape, index",
+    [((2.0, 2), 0), ((2, True), 1), ((3, F(2)), 1), ((2, 2, "3"), 2)],
+    ids=["float", "bool", "fraction", "str"],
+)
+def test_a_grid_size_that_is_not_an_int_is_refused_by_name(shape, index):
+    # 2.0 used to fail inside range(), and True to report a one-value axis
+    got = rf"^shape\[{index}\] must be an int, got " + re.escape(repr(shape[index]))
+    with pytest.raises(TypeError, match=got):
+        StateSpace.grid(*shape)
+
+
 @given(beliefs(GRID_3X3))
 def test_marginal_matches_double_loop_oracle(b):
     for axis in range(2):

@@ -30,12 +30,14 @@ from bayespol import (
     limit,
     one_shot,
 )
+from bayespol import orders
 from bayespol.orders import (
     DEFAULT_UPPER_SET_CAP,
     _cdf_failure,
     _family_masks,
     _max_closure,
     _upper_set_masks,
+    _verdict_from_gaps,
     additive_parts,
     canonical_basis,
     in_generating_class,
@@ -53,6 +55,7 @@ from conftest import (
     beliefs,
     strong_cw_failure_by_state_loop,
     upper_set_masks_by_skipping,
+    verdict_from_gaps_by_construction,
 )
 
 ST = UpperFamilyKind.UPPER_SET
@@ -309,8 +312,8 @@ def _moved_up(space, weights, moves):
 
 
 @st.composite
-def _st_pairs(draw):
-    space = draw(st.sampled_from([GRID_2X2, GRID_2X3, GRID_3X3, GRID_2X2X2]))
+def _st_pairs(draw, spaces=(GRID_2X2, GRID_2X3, GRID_3X3, GRID_2X2X2)):
+    space = draw(st.sampled_from(spaces))
     weights = st.lists(
         st.integers(min_value=0, max_value=9), min_size=space.size, max_size=space.size
     ).filter(any)
@@ -464,8 +467,21 @@ def _weak_cdf_failure_by_fractions(a, b):
     return None
 
 
+# The marginal-cdf kernel's spaces: a 1-D grid, whose first cut holds a single
+# state, a 48-state grid, and labelled axes, besides the upper-set grids.
+_CDF_SPACES = (
+    GRID_2X2,
+    GRID_2X3,
+    GRID_3X3,
+    GRID_2X2X2,
+    StateSpace.grid(5),
+    StateSpace.grid(3, 4, 4),
+    StateSpace.make([[0, F(1, 2), 7], [-3, 0, 2, 9]]),
+)
+
+
 @settings(max_examples=400)
-@given(_st_pairs(), st.integers(1, 6), st.integers(1, 6))
+@given(_st_pairs(_CDF_SPACES), st.integers(1, 6), st.integers(1, 6))
 def test_strong_cw_kernel_matches_the_state_loop(pair, low_scale, high_scale):
     """Both directions, on reduced beliefs and on unreduced numerators; the
     weak kernel against ``Fraction`` marginal cdfs, ties included."""
@@ -485,6 +501,75 @@ def test_strong_cw_kernel_matches_the_state_loop(pair, low_scale, high_scale):
         )
         assert _cdf_failure(*scaled) == expected
         assert _cdf_failure(*scaled, strict=False) == _weak_cdf_failure_by_fractions(a, b)
+    # the cut table is axis-major, and each getter picks out exactly the
+    # states at or below its cut
+    cuts = space.cdf_cuts
+    assert [(axis, cut) for axis, cut, _ in cuts] == [
+        (axis, cut) for axis, n in enumerate(space.shape) for cut in range(n - 1)
+    ]
+    flats = list(range(space.size))
+    for axis, cut, get in cuts:
+        below = sorted(f for group in space.axis_groups[axis][: cut + 1] for f in group)
+        assert sorted(get(flats)) == below
+        assert sum(get(low.nums)) == sum(low.nums[f] for f in below)
+
+
+@st.composite
+def _gap_vectors(draw):
+    """A space and integer gaps on it that sum to zero, as ``compare``'s do."""
+    space = draw(st.sampled_from([GRID_2X2, GRID_2X3, GRID_3X3, GRID_2X2X2]))
+    head = draw(st.lists(st.integers(-9, 9), min_size=space.size - 1, max_size=space.size - 1))
+    return space, [*head, -sum(head)]
+
+
+@settings(max_examples=400)
+@given(_gap_vectors(), st.sampled_from(list(UpperFamilyKind)), st.sampled_from(list(Strictness)))
+def test_shared_verdicts_match_a_fresh_construction(case, kind, strictness):
+    space, w = case
+    verdict = _verdict_from_gaps(space, kind, list(w), strictness)
+    assert verdict == verdict_from_gaps_by_construction(space, kind, w, strictness)
+    for event in (verdict.witness, verdict.opposite_witness):
+        assert event is None or event.space is space
+    # a repeat outcome gets the same shared verdict
+    assert _verdict_from_gaps(space, kind, list(w), strictness) is verdict
+
+
+def test_shared_verdicts_live_on_the_callers_space():
+    # one shape four ways: the shared grid, an equal space built apart from
+    # it, and two sets of labelled axes
+    spaces = (
+        GRID_2X3,
+        StateSpace.make([[0, 1], [0, 1, 2]]),
+        StateSpace.make([[0, F(1, 2)], [-3, 2, 9]]),
+        StateSpace.make([[1, 4], [0, 5, 6]]),
+    )
+    rng = random.Random(23)
+    for _ in range(60):
+        low = [rng.randint(1, 9) for _ in range(6)]
+        high = [rng.randint(1, 9) for _ in range(6)]
+        w = [a * sum(high) - b * sum(low) for a, b in zip(low, high)]
+        for kind, strictness in product(UpperFamilyKind, Strictness):
+            for space in spaces:
+                verdict = _verdict_from_gaps(space, kind, w, strictness)
+                assert verdict == verdict_from_gaps_by_construction(space, kind, w, strictness)
+                for event in (verdict.witness, verdict.opposite_witness):
+                    assert event is None or event.space is space
+                beliefs_there = Belief.from_weights(space, low), Belief.from_weights(space, high)
+                assert compare(*beliefs_there, kind, strictness) is verdict
+
+
+def test_verdict_store_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(orders, "_VERDICT_CACHE_SIZE", 8)
+    space = StateSpace.make([[0, 1, 2], [0, 1, 2]])  # an empty store
+    rng = random.Random(8)
+    for _ in range(200):
+        head = [rng.randint(-9, 9) for _ in range(space.size - 1)]
+        w = [*head, -sum(head)]
+        for kind, strictness in product(UpperFamilyKind, Strictness):
+            verdict = _verdict_from_gaps(space, kind, w, strictness)
+            assert verdict == verdict_from_gaps_by_construction(space, kind, w, strictness)
+            assert len(space._verdicts) <= 8
+    assert len(space._verdicts) == 8
 
 
 @given(beliefs(GRID_2X3, full_support=True), beliefs(GRID_2X3, full_support=True))
