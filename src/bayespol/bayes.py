@@ -24,19 +24,29 @@ from .core import (
     StateSubset,
     _INT,
     _refuse_non_int,
+    _refuse_non_tuple,
     over_common_denominator,
 )
 
 
 @dataclass(frozen=True)
 class LikelihoodFn:
-    """Per-state probability of one signal realization, in [0, 1]."""
+    """Per-state probability of one signal realization, in [0, 1].
+
+    The constructor checks every field: ``nums`` must be a tuple of ints in
+    ``[0, den]``, one per state and not all zero, over the positive int
+    ``den``.  The verifier's likelihood draws and exhaustive grids, whose
+    integers meet these conditions by construction, build through
+    ``core._trusted`` instead, which skips the checks and keeps the same gcd
+    reduction.
+    """
 
     space: StateSpace
     nums: tuple[int, ...]
     den: int
 
     def __post_init__(self) -> None:
+        _refuse_non_tuple(self.nums)
         if len(self.nums) != self.space.size:
             raise ValueError(f"expected {self.space.size} likelihood values")
         if not (_INT.issuperset(map(type, self.nums)) and type(self.den) is int):

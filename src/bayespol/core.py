@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import product as _cartesian
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 RationalLike = Union[Fraction, int, str]
 
 # A state is an index vector (i_1, ..., i_d) into a StateSpace.
 State = tuple[int, ...]
+
+_Value = TypeVar("_Value")
 
 # Shapes whose shared ``StateSpace.grid`` instance is kept.
 _GRID_CACHE_SIZE = 64
@@ -51,6 +53,36 @@ def _refuse_non_int(nums: Sequence[int], den: int) -> None:
         if type(n) is not int:
             raise TypeError(f"nums[{i}] must be an int, got {n!r}")
     raise TypeError(f"den must be an int, got {den!r}")
+
+
+def _refuse_non_tuple(nums: object) -> None:
+    """Raise a ``TypeError`` naming ``nums`` unless it is a tuple: a list
+    would leave the frozen value mutable and unhashable."""
+    if type(nums) is not tuple:
+        raise TypeError(f"nums must be a tuple, got {type(nums).__name__}")
+
+
+def _trusted(cls: type[_Value], space: "StateSpace", nums: tuple[int, ...], den: int) -> _Value:
+    """A ``Belief`` or ``LikelihoodFn`` (``cls``) from integers the library
+    drew or enumerated itself, without the public constructor's checks.
+
+    The caller vouches for what those checks test: ``nums`` is a tuple of
+    ``space.size`` ints, ``den`` is a positive int, and the values are valid
+    for ``cls`` by construction.  The gcd reduction is the public path's,
+    so the result equals, and hashes as, ``cls(space, nums, den)``.  Only
+    the verifier's samplers and exhaustive grids call it; tests/test_imports.py
+    keeps it that way, so no outside input skips the checks.
+    """
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums = tuple([n // g for n in nums])
+        den //= g
+    obj = object.__new__(cls)
+    fields = obj.__dict__
+    fields["space"] = space
+    fields["nums"] = nums
+    fields["den"] = den
+    return obj
 
 
 def over_common_denominator(values: Iterable[RationalLike]) -> tuple[tuple[int, ...], int]:
@@ -95,6 +127,9 @@ class StateSpace:
                 raise ValueError(f"axis {k} is not strictly increasing: {vals}")
             coerced.append(vals)
         object.__setattr__(self, "axes", tuple(coerced))
+        # Hashing the axes hashes every Fraction, and spaces key the order
+        # caches, so the hash is worked out once here.
+        object.__setattr__(self, "_hash", hash((self.axes,)))
         shape = tuple(len(a) for a in self.axes)
         strides = []
         acc = 1
@@ -108,6 +143,9 @@ class StateSpace:
         object.__setattr__(
             self, "_states", tuple(_cartesian(*(range(n) for n in shape)))
         )
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     @staticmethod
     def make(axes: Iterable[Iterable[RationalLike]]) -> "StateSpace":
@@ -260,6 +298,20 @@ class StateSpace:
         )
 
     @cached_property
+    def orthant_events(self) -> tuple[tuple[int, int], ...]:
+        """``(corner, up-cone mask)`` per upper orthant, every state's up-cone
+        but the bottom's, listed by mask: ``event_family``'s order."""
+        up = self.up_cones
+        return tuple(sorted([(f, up[f]) for f in range(1, self.size)], key=operator.itemgetter(1)))
+
+    @cached_property
+    def projection_events(self) -> tuple[tuple[int, int], ...]:
+        """``(corner, up-cone mask)`` per projection event, in
+        ``projection_corners``' axis-major order: ``event_family``'s order."""
+        up = self.up_cones
+        return tuple((f, up[f]) for f in self.projection_corners)
+
+    @cached_property
     def up_cones(self) -> tuple[int, ...]:
         """Per state, the bitmask of the states at or above it."""
         up = [1 << f for f in range(self.size)]
@@ -399,6 +451,12 @@ class Belief:
     are canonicalized (gcd-reduced) at construction, so equal distributions
     compare equal.  Instances are immutable; every operation returns a new
     Belief whose masses sum to one exactly.
+
+    The constructor checks every field: ``nums`` must be a tuple of
+    nonnegative ints, one per state, summing to the positive int ``den``.
+    The verifier's samplers and exhaustive grids, whose integers meet these
+    conditions by construction, build through ``core._trusted`` instead,
+    which skips the checks and keeps the same gcd reduction.
     """
 
     space: StateSpace
@@ -406,6 +464,7 @@ class Belief:
     den: int
 
     def __post_init__(self) -> None:
+        _refuse_non_tuple(self.nums)
         if len(self.nums) != self.space.size:
             raise ValueError(
                 f"expected {self.space.size} masses, got {len(self.nums)}"

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .core import Belief, RationalLike, StateSpace, StateSubset, frac
@@ -166,13 +165,14 @@ def _family_masks(
     """Proper nonempty events of the family, as bitmasks.
 
     The upper orthants are the up-cones of every state but the bottom, listed
-    by mask; the projections are listed axis-major.
+    by mask; the projections are listed axis-major.  Both orders are read
+    from the space's ``orthant_events`` and ``projection_events`` tables,
+    which ``_orthant_gaps`` scans for its witnesses.
     """
-    up = space.up_cones
     if kind is UpperFamilyKind.UPPER_ORTHANT:
-        return tuple(sorted(up[1:]))
+        return tuple([mask for _, mask in space.orthant_events])
     if kind is UpperFamilyKind.UPPER_PROJECTION:
-        return tuple(up[f] for f in space.projection_corners)
+        return tuple([mask for _, mask in space.projection_events])
     full = space.full_mask
     return tuple(m for m in _upper_set_masks(space, cap) if 0 < m < full)
 
@@ -337,27 +337,38 @@ def _orthant_gaps(
     first witness is an event where the low side has more mass, the second
     one where it has less.  Each event is the up-cone of its corner state.
     Suffix sums of w along the cover edges, one axis at a time, give w(E)
-    for every orthant E at its corner, so one table holds every gap.  The
-    witness is the first event with the gap in ``event_family``'s order:
-    for orthants, which are listed by mask, the smallest mask.
+    for every orthant E at its corner, so one table holds every gap.
+
+    The witness is the first event with the gap in ``event_family``'s order,
+    which the space's ``(corner, up-cone mask)`` table lists:
+    ``space.orthant_events`` (by mask) or ``space.projection_events``
+    (axis-major).  One pass over it stops once both witnesses are found;
+    the flag is then ``False``, as the verdict no longer reads it.
     """
     sums = list(w)
     for f, g in space.cover_edges:
         sums[f] += sums[g]
-    up = space.up_cones
     if kind is UpperFamilyKind.UPPER_ORTHANT:
-        corners: Sequence[int] = range(1, space.size)
-        first = min
+        events = space.orthant_events
     else:
-        corners = space.projection_corners
-        first = itemgetter(0)
-    low_gt = [up[f] for f in corners if sums[f] > 0]
-    high_gt = [up[f] for f in corners if sums[f] < 0]
-    return (
-        first(low_gt) if low_gt else None,
-        first(high_gt) if high_gt else None,
-        len(low_gt) + len(high_gt) == len(corners),
-    )
+        events = space.projection_events
+    low_gt = high_gt = None
+    everywhere = True
+    for f, mask in events:
+        gap = sums[f]
+        if gap > 0:
+            if low_gt is None:
+                low_gt = mask
+                if high_gt is not None:
+                    return low_gt, high_gt, False
+        elif gap < 0:
+            if high_gt is None:
+                high_gt = mask
+                if low_gt is not None:
+                    return low_gt, high_gt, False
+        else:
+            everywhere = False
+    return low_gt, high_gt, everywhere
 
 
 def _upper_set_gaps(

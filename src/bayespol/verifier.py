@@ -19,7 +19,15 @@ from itertools import combinations, product as _cartesian
 from typing import Callable, Iterator, Optional
 
 from .bayes import Evidence, LikelihoodFn
-from .core import Belief, State, StateSpace, StateSubset, frac, over_common_denominator
+from .core import (
+    Belief,
+    State,
+    StateSpace,
+    StateSubset,
+    _trusted,
+    frac,
+    over_common_denominator,
+)
 from .orders import UpperFamilyKind, _cdf_failure, _check_member, compare_strong_cw
 from .polarization import (
     Mode,
@@ -117,11 +125,12 @@ class SweepConfig:
             raise ValueError(f"likelihood_levels: {exc}") from None
         if not levels or not all(0 <= v <= 1 for v in levels):
             raise ValueError(f"likelihood_levels must be nonempty in [0, 1]: {levels}")
-        exhaustive = self.denominator_bound is not None
-        if exhaustive and self.mode is Mode.ONE_SHOT and not any(levels):
+        # Random trials would fall back to a point indicator at level 1 on
+        # every draw, and exhaustive ones would have no likelihood to run.
+        if self.mode is Mode.ONE_SHOT and not any(levels):
             raise ValueError("likelihood_levels has no positive level: no likelihood to run")
         object.__setattr__(self, "likelihood_levels", levels)
-        if exhaustive:
+        if self.denominator_bound is not None:
             planned = self.exhaustive_trials()
             if planned > EXHAUSTIVE_TRIAL_BUDGET:
                 raise ValueError(
@@ -195,19 +204,21 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _exhaustive_priors(space: StateSpace, denominator: int) -> list[Belief]:
     return [
-        Belief(space, nums, denominator)
+        _trusted(Belief, space, nums, denominator)
         for nums in _compositions(denominator, space.size)
     ]
 
 
 def _exhaustive_likelihoods(
-    space: StateSpace, levels: tuple[Fraction, ...]
+    space: StateSpace, level_nums: tuple[int, ...], den: int
 ) -> list[LikelihoodFn]:
-    out = []
-    for values in _cartesian(levels, repeat=space.size):
-        if any(v > 0 for v in values):
-            out.append(LikelihoodFn.from_fractions(space, values))
-    return out
+    """Every likelihood on the grid of levels ``level_nums`` over ``den``
+    but the all-zero ones, in ``product`` order."""
+    return [
+        _trusted(LikelihoodFn, space, nums, den)
+        for nums in _cartesian(level_nums, repeat=space.size)
+        if any(nums)
+    ]
 
 
 def _draw_weights(rng: random.Random, size: int, bound: int) -> list[int]:
@@ -230,7 +241,8 @@ def _draw_weights(rng: random.Random, size: int, bound: int) -> list[int]:
 
 
 def _random_belief(rng: random.Random, space: StateSpace, bound: int) -> Belief:
-    return Belief.from_weights(space, _draw_weights(rng, space.size, bound))
+    weights = _draw_weights(rng, space.size, bound)
+    return _trusted(Belief, space, tuple(weights), sum(weights))
 
 
 def _random_likelihood(
@@ -250,7 +262,7 @@ def _draw_likelihood(
     picks = [nums[i - 1] for i in _draw_weights(rng, space.size, len(nums))]
     if not any(picks):
         picks[rng.randrange(space.size)] = den
-    return LikelihoodFn(space, tuple(picks), den)
+    return _trusted(LikelihoodFn, space, tuple(picks), den)
 
 
 def _random_strong_pair(
@@ -272,9 +284,9 @@ def _random_strong_pair(
         sa, sb = sum(a), sum(b)
         failure = _cdf_failure(space, a, sa, b, sb)
         if failure is None:
-            return Belief(space, tuple(a), sa), Belief(space, tuple(b), sb)
+            return _trusted(Belief, space, tuple(a), sa), _trusted(Belief, space, tuple(b), sb)
         if failure == (0, 0) and _cdf_failure(space, b, sb, a, sa) is None:
-            return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
+            return _trusted(Belief, space, tuple(b), sb), _trusted(Belief, space, tuple(a), sa)
 
 
 def _trials(
@@ -298,7 +310,7 @@ def _trials(
     if config.denominator_bound is not None:
         priors = _exhaustive_priors(space, config.denominator_bound)
         if one_shot_mode:
-            evidence = _exhaustive_likelihoods(space, config.likelihood_levels)
+            evidence = _exhaustive_likelihoods(space, level_nums, level_den)
         elif pinned is not None:
             evidence = [pinned]
         else:

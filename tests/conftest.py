@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -18,8 +19,9 @@ from bayespol import (
     limit_posterior,
     update,
 )
-from bayespol.orders import _orthant_gaps, _upper_set_gaps
+from bayespol.orders import _cdf_failure, _orthant_gaps, _upper_set_gaps
 from bayespol.polarization import DirectionAnalysis, DirectionTable
+from bayespol.verifier import _compositions, _draw_weights
 
 GRID_2X2 = StateSpace.grid(2, 2)
 GRID_2X3 = StateSpace.grid(2, 3)
@@ -115,6 +117,68 @@ def verdict_from_gaps_by_construction(space, kind, w, strictness):
         Relation.STRICTLY_ABOVE if strict else Relation.WEAKLY_ABOVE,
         StateSubset(space, low_gt),
     )
+
+
+def orthant_gaps_by_two_lists(space, kind, w):
+    """``orders._orthant_gaps`` as it was before its one early-exit pass:
+    every event's gap in two lists, then the first of each (the smallest
+    mask for orthants), and the all-events flag from their lengths."""
+    sums = list(w)
+    for f, g in space.cover_edges:
+        sums[f] += sums[g]
+    up = space.up_cones
+    if kind is UpperFamilyKind.UPPER_ORTHANT:
+        corners, first = range(1, space.size), min
+    else:
+        corners, first = space.projection_corners, lambda masks: masks[0]
+    low_gt = [up[f] for f in corners if sums[f] > 0]
+    high_gt = [up[f] for f in corners if sums[f] < 0]
+    return (
+        first(low_gt) if low_gt else None,
+        first(high_gt) if high_gt else None,
+        len(low_gt) + len(high_gt) == len(corners),
+    )
+
+
+# The verifier's samplers and exhaustive grids as they were before they built
+# through ``core._trusted``: the same integers through the public checks.
+
+
+def random_belief_by_public_constructor(rng, space, bound):
+    return Belief.from_weights(space, _draw_weights(rng, space.size, bound))
+
+
+def draw_likelihood_by_public_constructor(rng, space, nums, den):
+    picks = [nums[i - 1] for i in _draw_weights(rng, space.size, len(nums))]
+    if not any(picks):
+        picks[rng.randrange(space.size)] = den
+    return LikelihoodFn(space, tuple(picks), den)
+
+
+def strong_pair_by_public_constructor(rng, space, bound):
+    size = space.size
+    while True:
+        w = _draw_weights(rng, 2 * size, bound)
+        a, b = w[:size], w[size:]
+        sa, sb = sum(a), sum(b)
+        failure = _cdf_failure(space, a, sa, b, sb)
+        if failure is None:
+            return Belief(space, tuple(a), sa), Belief(space, tuple(b), sb)
+        if failure == (0, 0) and _cdf_failure(space, b, sb, a, sa) is None:
+            return Belief(space, tuple(b), sb), Belief(space, tuple(a), sa)
+
+
+def exhaustive_priors_by_public_constructor(space, denominator):
+    return [Belief(space, nums, denominator) for nums in _compositions(denominator, space.size)]
+
+
+def exhaustive_likelihoods_by_fractions(space, levels):
+    """Each grid point over its own least common denominator."""
+    return [
+        LikelihoodFn.from_fractions(space, values)
+        for values in product(levels, repeat=space.size)
+        if any(v > 0 for v in values)
+    ]
 
 
 def expectation_by_state_loop(belief, values):

@@ -181,6 +181,43 @@ def test_masses_that_are_not_ints_are_refused_by_field(one):
         Belief.from_weights(GRID_2X2, [one, 1, 1, 1])
 
 
+@pytest.mark.parametrize("make", [Belief, LikelihoodFn], ids=["belief", "likelihood"])
+def test_numerators_that_are_not_a_tuple_are_refused_by_name(make):
+    # a list used to be kept as it was: the frozen value could be mutated,
+    # and hashing it raised "unhashable type: 'list'"
+    with pytest.raises(TypeError, match="^nums must be a tuple, got list$"):
+        make(GRID_2X2, [1, 1, 1, 1], 4)
+    with pytest.raises(TypeError, match="^nums must be a tuple, got range$"):
+        make(GRID_2X2, range(4), 6)
+    value = make(GRID_2X2, (1, 1, 1, 1), 4)
+    assert hash(value) == hash(make(GRID_2X2, (2, 2, 2, 2), 8))
+    # the named constructors still take any sequence
+    assert Belief.from_weights(GRID_2X2, [1, 1, 1, 1]).nums == (1, 1, 1, 1)
+    assert LikelihoodFn.from_fractions(GRID_2X2, [1, 1, 1, 1]).nums == (1, 1, 1, 1)
+
+
+def test_equal_spaces_built_apart_hash_equal_without_rehashing_axes(monkeypatch):
+    spaces = (
+        StateSpace.grid(2, 3),
+        StateSpace.make([range(2), range(3)]),
+        StateSpace.make([["0", "1"], [F(0), 1, "2"]]),
+        StateSpace(((0, 1), (F(0), F(1), F(2)))),
+    )
+    for space in spaces:
+        assert space == spaces[0] and hash(space) == hash(spaces[0])
+        # the value a frozen dataclass would give, computed once
+        assert hash(space) == hash((space.axes,))
+    labelled = StateSpace.make([[0, F(1, 2)], [-3, 2, 9]])
+    assert hash(labelled) == hash(StateSpace.make([["0", "1/2"], ["-3", 2, 9]]))
+    # a lookup keyed on a space reads the stored hash, not the axes' Fractions
+    calls = []
+    fraction_hash = F.__hash__
+    monkeypatch.setattr(F, "__hash__", lambda self: calls.append(self) or fraction_hash(self))
+    for space in (*spaces, labelled):
+        hash(space)
+    assert calls == []
+
+
 @pytest.mark.parametrize("one", [True, 1.0, F(1)], ids=["bool", "float", "fraction"])
 def test_masks_that_are_not_ints_are_refused(one):
     # True used to stand for {(0, 0)}, and a float mask failed only later, in

@@ -35,7 +35,9 @@ from bayespol.orders import (
     DEFAULT_UPPER_SET_CAP,
     _cdf_failure,
     _family_masks,
+    _build_verdict,
     _max_closure,
+    _orthant_gaps,
     _upper_set_masks,
     _verdict_from_gaps,
     additive_parts,
@@ -53,6 +55,7 @@ from conftest import (
     MIRROR_HIGH,
     MIRROR_LOW,
     beliefs,
+    orthant_gaps_by_two_lists,
     strong_cw_failure_by_state_loop,
     upper_set_masks_by_skipping,
     verdict_from_gaps_by_construction,
@@ -532,6 +535,60 @@ def test_shared_verdicts_match_a_fresh_construction(case, kind, strictness):
         assert event is None or event.space is space
     # a repeat outcome gets the same shared verdict
     assert _verdict_from_gaps(space, kind, list(w), strictness) is verdict
+
+
+# The one-pass witness scan's spaces: 2x2 through 3x4x4, a 1-D grid and
+# labelled axes.
+_SCAN_SPACES = (
+    GRID_2X2,
+    GRID_2X3,
+    GRID_3X3,
+    GRID_2X2X2,
+    StateSpace.grid(5),
+    StateSpace.grid(3, 4, 4),
+    StateSpace.make([[0, F(1, 2)], [-3, 2, 9]]),
+    StateSpace.make([[0, F(1, 2), 7], [-3, 0, 2, 9]]),
+)
+
+
+@st.composite
+def _scan_gaps(draw):
+    """Zero-sum integer gaps on a scan space; small entries make ties."""
+    space = draw(st.sampled_from(_SCAN_SPACES))
+    bound = draw(st.sampled_from([1, 3, 9]))
+    head = draw(
+        st.lists(st.integers(-bound, bound), min_size=space.size - 1, max_size=space.size - 1)
+    )
+    return space, [*head, -sum(head)]
+
+
+@settings(max_examples=400)
+@given(_scan_gaps(), st.sampled_from([UO, CW]))
+def test_one_pass_witnesses_match_the_two_list_scan(case, kind):
+    space, w = case
+    low_gt, high_gt, everywhere = _orthant_gaps(space, kind, w)
+    old_low, old_high, old_everywhere = orthant_gaps_by_two_lists(space, kind, w)
+    assert (low_gt, high_gt) == (old_low, old_high)
+    # with both witnesses found the pass stops early and clears the flag
+    both = low_gt is not None and high_gt is not None
+    assert everywhere is (False if both else old_everywhere)
+    for one_event in (True, False):
+        assert _build_verdict(space, low_gt, high_gt, one_event or everywhere) == _build_verdict(
+            space, old_low, old_high, one_event or old_everywhere
+        )
+
+
+def test_event_tables_list_the_families_in_event_order():
+    for space in _SCAN_SPACES:
+        up = space.up_cones
+        for kind, table in ((UO, space.orthant_events), (CW, space.projection_events)):
+            assert [mask for _, mask in table] == [e.mask for e in event_family(space, kind)]
+            assert all(mask == up[corner] for corner, mask in table)
+        # orthants by mask, every state but the bottom; projections axis-major
+        assert [mask for _, mask in space.orthant_events] == sorted(up[1:])
+        assert [corner for corner, _ in space.projection_events] == list(
+            space.projection_corners
+        )
 
 
 def test_shared_verdicts_live_on_the_callers_space():

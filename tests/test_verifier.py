@@ -25,15 +25,31 @@ from bayespol import (
     sweep,
 )
 
+from bayespol.core import over_common_denominator
 from bayespol.verifier import (
     EXHAUSTIVE_TRIAL_BUDGET,
     _compositions,
+    _draw_likelihood,
     _draw_weights,
+    _exhaustive_likelihoods,
+    _exhaustive_priors,
+    _random_belief,
     _random_likelihood,
     _random_strong_pair,
 )
 
-from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, strong_cw_failure_by_state_loop
+from conftest import (
+    DIAGONAL,
+    GRID_2X2,
+    GRID_2X3,
+    GRID_3X3,
+    draw_likelihood_by_public_constructor,
+    exhaustive_likelihoods_by_fractions,
+    exhaustive_priors_by_public_constructor,
+    random_belief_by_public_constructor,
+    strong_cw_failure_by_state_loop,
+    strong_pair_by_public_constructor,
+)
 
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
@@ -155,9 +171,17 @@ def test_config_validation():
     for levels in ((), (F(0), F(3, 2)), (F(-1, 2),), (0.5,)):
         with pytest.raises(ValueError, match="likelihood_levels"):
             SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=levels)
-    # exhaustive one-shot evidence skips the all-zero likelihood: no trial
-    with pytest.raises(ValueError, match="likelihood_levels"):
-        SweepConfig(CW, Mode.ONE_SHOT, (2, 2), denominator_bound=4, likelihood_levels=(0,))
+    # exhaustive one-shot evidence skips the all-zero likelihood: no trial;
+    # a random one-shot trial would fall back to a point indicator at level 1,
+    # which is not among the levels, on every draw
+    for levels in ((0,), (0, F(0))):
+        for bound in (4, None):
+            with pytest.raises(ValueError, match="^likelihood_levels has no positive level"):
+                SweepConfig(
+                    CW, Mode.ONE_SHOT, (2, 2), denominator_bound=bound, likelihood_levels=levels
+                )
+        # limit trials draw no likelihood
+        assert SweepConfig(CW, Mode.LIMIT, (2, 2), likelihood_levels=levels)
     assert SweepConfig(CW, Mode.ONE_SHOT, (2, 2), likelihood_levels=(0, "1/3", 1))
     with pytest.raises(ValueError, match="mass_bound"):
         family_polarization_search(PRODUCTS, Mode.LIMIT, GRID_2X2, trials=5, mass_bound=0)
@@ -305,6 +329,80 @@ def test_random_likelihood_matches_the_fraction_path(levels):
                 slow, space, levels
             )
             assert fast.getstate() == slow.getstate()
+
+
+# The samplers and exhaustive grids build through ``core._trusted``; each of
+# their values must equal, field for field and in hash, the public
+# constructor's on the same integers.
+_SAMPLER_SPACES = {
+    "5": StateSpace.grid(5),
+    "2x2": GRID_2X2,
+    "2x3": GRID_2X3,
+    "3x3": GRID_3X3,
+    "2x2x2": StateSpace.grid(2, 2, 2),
+    "labelled-2x3": StateSpace.make([[0, F(1, 2)], [-3, 2, 9]]),
+}
+
+
+def _assert_same_value(built, public):
+    assert type(built) is type(public)
+    assert built == public
+    assert type(built.nums) is tuple
+    assert (built.nums, built.den) == (public.nums, public.den)
+    assert hash(built) == hash(public)
+
+
+@pytest.mark.parametrize("space", list(_SAMPLER_SPACES.values()), ids=list(_SAMPLER_SPACES))
+def test_sampler_built_values_equal_the_public_constructors(space):
+    level_grids = [
+        over_common_denominator(_LEVELS[name])
+        for name in ("default", "zero", "thirds-quarters", "4-levels")
+    ]
+    # small bounds draw weights with a common factor, which the gcd reduces
+    for seed in range(200):
+        for bound in (2, 4, 12):
+            fast, slow = random.Random(f"{seed}:{bound}"), random.Random(f"{seed}:{bound}")
+            _assert_same_value(
+                _random_belief(fast, space, bound),
+                random_belief_by_public_constructor(slow, space, bound),
+            )
+            for nums, den in level_grids:
+                _assert_same_value(
+                    _draw_likelihood(fast, space, nums, den),
+                    draw_likelihood_by_public_constructor(slow, space, nums, den),
+                )
+            if seed < 40:
+                for built, public in zip(
+                    _random_strong_pair(fast, space, bound),
+                    strong_pair_by_public_constructor(slow, space, bound),
+                ):
+                    _assert_same_value(built, public)
+            assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("space", list(_SAMPLER_SPACES.values()), ids=list(_SAMPLER_SPACES))
+def test_exhaustive_priors_equal_the_public_constructors(space):
+    for denominator in range(space.size, space.size + 5):
+        built = _exhaustive_priors(space, denominator)
+        public = exhaustive_priors_by_public_constructor(space, denominator)
+        assert len(built) == len(public) == math.comb(denominator - 1, space.size - 1)
+        for b, p in zip(built, public):
+            _assert_same_value(b, p)
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [(F(0), F(1, 2), F(1)), (F(1, 3), F(2, 3)), (F(0), F(1, 4), F(2, 3), F(1))],
+    ids=["halves", "thirds", "four-levels"],
+)
+def test_exhaustive_likelihoods_equal_the_fraction_grids(levels):
+    # one denominator for the whole grid, against each point over its own
+    for space in (GRID_2X2, StateSpace.grid(5), GRID_2X3):
+        built = _exhaustive_likelihoods(space, *over_common_denominator(levels))
+        public = exhaustive_likelihoods_by_fractions(space, levels)
+        assert len(built) == len(public)
+        for b, p in zip(built, public):
+            _assert_same_value(b, p)
 
 
 def test_a_config_shares_its_grid():
