@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .core import State, StateSpace, StateSubset
+from .core import State, StateSpace, StateSubset, _require_subset
 
 
 def _require_two_dimensions(space: StateSpace) -> None:
@@ -81,33 +81,44 @@ def _pivot_state(subset: StateSubset, rows: tuple[_Row, ...]) -> Optional[State]
     return None if f is None else subset.space.state_at(f)
 
 
+def _extreme_mask(mask: int, cones: tuple[int, ...]) -> int:
+    """The members f of ``mask`` whose cone meets ``mask`` at f alone.
+
+    With ``down_cones`` these are the minimal members (none other weakly
+    below), with ``up_cones`` the maximal ones.
+    """
+    out = 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        if cones[bit.bit_length() - 1] & mask == bit:
+            out |= bit
+        rest ^= bit
+    return out
+
+
 def is_antichain(subset: StateSubset) -> bool:
-    """No two distinct members are comparable."""
-    space = subset.space
-    up, down = space.up_cones, space.down_cones
-    for f in subset.flats():
-        related = (down[f] | up[f]) & subset.mask
-        if related != 1 << f:
-            return False
-    return True
+    """No two distinct members are comparable: the set is its own min set."""
+    _require_subset(subset, "subset")
+    return _extreme_mask(subset.mask, subset.space.down_cones) == subset.mask
 
 
 def min_set(subset: StateSubset) -> StateSubset:
     """Minimal antichain: members with no other member weakly below them."""
+    _require_subset(subset, "subset")
     if subset.is_empty:
         raise ValueError("min_set of empty subset")
-    down = subset.space.down_cones
-    flats = [f for f in subset.flats() if down[f] & subset.mask == 1 << f]
-    return StateSubset.from_flats(subset.space, flats)
+    space = subset.space
+    return StateSubset(space, _extreme_mask(subset.mask, space.down_cones))
 
 
 def max_set(subset: StateSubset) -> StateSubset:
     """Maximal antichain: members with no other member weakly above them."""
+    _require_subset(subset, "subset")
     if subset.is_empty:
         raise ValueError("max_set of empty subset")
-    up = subset.space.up_cones
-    flats = [f for f in subset.flats() if up[f] & subset.mask == 1 << f]
-    return StateSubset.from_flats(subset.space, flats)
+    space = subset.space
+    return StateSubset(space, _extreme_mask(subset.mask, space.up_cones))
 
 
 def _spans(axis_extremes: tuple[tuple[int, int], ...], mask: int) -> bool:
@@ -165,6 +176,7 @@ def classify(space: StateSpace, identified: StateSubset) -> ClassificationReport
     The characterization is proven for two-dimensional grids only, so any
     other grid is refused with a ValueError that names its dims.
     """
+    _require_subset(identified, "identified")
     if identified.space != space:
         raise ValueError("identified set lives on a different space")
     _require_two_dimensions(space)
@@ -221,6 +233,8 @@ def antichain_dominates(
     Requires: disjointness; ``low`` attains the minimal value and ``high``
     the maximal value on both coordinates; and a non-compensatory union.
     """
+    _require_subset(low, "low")
+    _require_subset(high, "high")
     _require_two_dimensions(space)
     if low.space != space or high.space != space:
         raise ValueError("antichains live on a different space")

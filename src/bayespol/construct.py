@@ -6,10 +6,13 @@ recursing on the grid (peel the high antichain's extreme element, shrink the
 grid, mix a small Dirac back in).  ``build_polarizing_priors`` assembles full
 polarizing priors for any identified set passing the classifier, then
 verifies the result with exact comparators rather than trusting the algebra.
-Every distribution the builders handle is a ``Belief`` (integer numerators
-over one denominator), and antichains travel as ascending flat indices; the
-polarizing priors' mixing weight runs over delta = 1/d for powers of two d,
-so its search and the layer weights (d - 1)^a d^(2 - a - b) / d^2 are
+The antichain distributions are ``Belief``s (integer numerators over one
+denominator), with antichains as ascending flat indices.  The polarizing
+priors are assembled on masks and integers: the set's four antichains and
+residuals are bitmasks read off its mask, each part is a tuple of
+numerators over a denominator, and only the two finished priors are
+``Belief``s.  Their mixing weight runs over delta = 1/d for powers of two
+d, so its search and the layer weights (d - 1)^a d^(2 - a - b) / d^2 are
 integer arithmetic as well.
 ``mirror_extremes_instance`` and ``one_shot_orthant_instance`` produce the
 two closed-form instance families: mirror-image priors identified on the two
@@ -26,14 +29,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .bayes import LikelihoodFn
-from .classifier import (
-    _dominance_failure,
-    antichain_dominates,
-    classify,
-    max_set,
-    min_set,
-)
-from .core import Belief, State, StateSpace, StateSubset, frac
+from .classifier import _dominance_failure, _extreme_mask, antichain_dominates, classify
+from .core import Belief, State, StateSpace, StateSubset, _indicator, frac
 from .orders import Strictness, UpperFamilyKind, compare_strong_cw
 from .polarization import PolarizationReport, limit, one_shot
 
@@ -317,44 +314,44 @@ def _grid_pieces(
     return _conditional_pieces(space, *(StateSubset(space, m) for m in (a, b, c, d)))
 
 
+# A layered prior's part: (power of 1 - delta, power of delta, nums, den).
+_Part = tuple[int, int, tuple[int, ...], int]
+
+
 def _layers(
-    space: StateSpace,
-    core: Belief,
-    core_rest: StateSubset,
-    comp: Belief,
-    comp_rest: StateSubset,
-) -> list[tuple[int, int, Belief]]:
-    """A layered prior's parts as (power of 1 - delta, power of delta, part).
+    size: int, core: Belief, core_rest: int, comp: Belief, comp_rest: int
+) -> list[_Part]:
+    """A layered prior's parts on a ``size``-state space.
 
     The antichain distribution on the identified set weighs 1 - delta and
-    the one on its complement delta; on each side a nonempty residual takes
-    a delta share of that weight, spread uniformly.
+    the one on its complement delta; on each side a nonempty residual (a
+    mask) takes a delta share of that weight, spread uniformly: its part is
+    the residual's 0/1 indicator over its member count.
     """
     parts = []
     for side, piece, rest in ((0, core, core_rest), (1, comp, comp_rest)):
-        if rest.is_empty:
-            parts.append((1 - side, side, piece))
+        if rest:
+            parts.append((2 - side, side, piece.nums, piece.den))
+            parts.append((1 - side, side + 1, _indicator(rest, size), rest.bit_count()))
         else:
-            parts.append((2 - side, side, piece))
-            parts.append((1 - side, side + 1, Belief.uniform_on(space, rest)))
+            parts.append((1 - side, side, piece.nums, piece.den))
     return parts
 
 
-def _layered_prior(
-    space: StateSpace, parts: list[tuple[int, int, Belief]], d: int
-) -> Belief:
+def _layered_prior(space: StateSpace, parts: list[_Part], d: int) -> Belief:
     """The parts mixed at delta = 1/d, in integers.
 
     Part (a, b) weighs (1 - 1/d)^a (1/d)^b = (d - 1)^a d^(2 - a - b) / d^2,
-    since a + b <= 2.  Every part is scaled onto the lcm of the part
-    denominators; the weights' numerators sum to d^2, which ``Belief``
-    checks through its masses summing to the denominator.
+    since a + b <= 2.  Every part's numerators are scaled onto the lcm of
+    the part denominators and added into one list; the weights' numerators
+    sum to d^2, which ``Belief`` checks through its masses summing to the
+    denominator.
     """
-    lcm = math.lcm(*[part.den for _, _, part in parts])
+    lcm = math.lcm(*[den for _, _, _, den in parts])
     nums = [0] * space.size
-    for a, b, part in parts:
-        scale = (d - 1) ** a * d ** (2 - a - b) * (lcm // part.den)
-        nums = [x + scale * n for x, n in zip(nums, part.nums)]
+    for a, b, part, den in parts:
+        scale = (d - 1) ** a * d ** (2 - a - b) * (lcm // den)
+        nums = [x + scale * n for x, n in zip(nums, part)]
     return Belief(space, tuple(nums), d * d * lcm)
 
 
@@ -363,14 +360,17 @@ def build_polarizing_priors(
 ) -> ConstructionResult:
     """Priors exhibiting strong coordinatewise limit polarization on a set.
 
-    The identified set must pass the classifier.  Layer weights follow a
+    The identified set must pass the classifier.  Its antichains min(I),
+    max(I), max(I^c) and min(I^c) and the four residuals are read off its
+    mask, and the four antichain pieces come from ``_grid_pieces``, built
+    once per grid shape and antichain quadruple.  Layer weights follow a
     halving search on delta = 1/d over d = 2, 4, ..., 2^64.  With epsilon =
     p/q, the two mixing inequalities read (d - 1) p > q and
     (d - 1)^2 p > (2d - 1) q, and the layer weights are integers over d^2,
-    so the search and the mixtures run on integers.  A delta is accepted
-    only when the assembled priors pass the exact polarization certificate.
-    The four antichain pieces come from ``_grid_pieces``, built once per
-    grid shape and antichain quadruple.
+    so the search and the mixtures run on integers: each prior adds its
+    parts' scaled numerators into one integer list and is built through the
+    public ``Belief`` constructor.  A delta is accepted only when the
+    assembled priors pass the exact polarization certificate.
     """
     report = classify(space, identified)
     if not report.can_strongly_polarize:
@@ -379,26 +379,17 @@ def build_polarizing_priors(
             f"spanning={report.spanning}, complement_spanning={report.complement_spanning}, "
             f"balanced={report.balanced}, compensatory={report.compensatory}"
         )
-    complement = identified.complement()
-    low_min, high_max = min_set(identified), max_set(identified)
-    comp_max, comp_min = max_set(complement), min_set(complement)
+    mask = identified.mask
+    comp = space.full_mask ^ mask
+    up, down = space.up_cones, space.down_cones
+    low_min, high_max = _extreme_mask(mask, down), _extreme_mask(mask, up)
+    comp_max, comp_min = _extreme_mask(comp, up), _extreme_mask(comp, down)
     low_core, high_core, low_comp, high_comp, epsilon = _grid_pieces(
-        space.shape, low_min.mask, high_max.mask, comp_max.mask, comp_min.mask
+        space.shape, low_min, high_max, comp_max, comp_min
     )
-    low_parts = _layers(
-        space,
-        low_core,
-        identified.difference(low_min),
-        low_comp,
-        complement.difference(comp_max),
-    )
-    high_parts = _layers(
-        space,
-        high_core,
-        identified.difference(high_max),
-        high_comp,
-        complement.difference(comp_min),
-    )
+    size = space.size
+    low_parts = _layers(size, low_core, mask & ~low_min, low_comp, comp & ~comp_max)
+    high_parts = _layers(size, high_core, mask & ~high_max, high_comp, comp & ~comp_min)
 
     p, q = epsilon.numerator, epsilon.denominator
     d = 2

@@ -435,6 +435,17 @@ class StateSubset:
         return "{" + ", ".join(str(s) for s in self.states()) + "}"
 
 
+def _require_subset(value: object, name: str) -> None:
+    """Refuse anything but a ``StateSubset`` with a ValueError naming ``name``."""
+    if not isinstance(value, StateSubset):
+        raise ValueError(f"{name} must be a StateSubset, got {type(value).__name__}")
+
+
+def _indicator(mask: int, size: int) -> tuple[int, ...]:
+    """Per state of a ``size``-state space, 1 if it is in ``mask``, else 0."""
+    return tuple([mask >> f & 1 for f in range(size)])
+
+
 @dataclass(frozen=True)
 class Marginal:
     """Univariate marginal: per-value masses and the running-sum cdf."""
@@ -506,10 +517,7 @@ class Belief:
             raise ValueError("subset lives on a different space")
         if subset.is_empty:
             raise ValueError("uniform distribution over empty set")
-        nums = [0] * space.size
-        for f in subset.flats():
-            nums[f] = 1
-        return Belief(space, tuple(nums), len(subset))
+        return Belief(space, _indicator(subset.mask, space.size), len(subset))
 
     @staticmethod
     def dirac(space: StateSpace, state: State) -> "Belief":

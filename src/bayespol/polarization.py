@@ -30,7 +30,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .bayes import Evidence, LikelihoodFn, _movement, _posterior
-from .core import Belief, State, StateSubset
+from .core import Belief, State, StateSubset, _require_subset
 from .orders import (
     DominanceVerdict,
     Strictness,
@@ -246,8 +246,7 @@ def limit(
     dominance between the priors (the strong polarization notion); ``kind``
     must then be the coordinatewise order.
     """
-    if not isinstance(identified, StateSubset):
-        raise ValueError(f"identified must be a StateSubset, got {type(identified).__name__}")
+    _require_subset(identified, "identified")
     return PolarizationReport(
         kind, prior_low, prior_high, identified, strong_middle, strictness
     )

@@ -14,11 +14,15 @@ from bayespol import (
     StateSubset,
     Strictness,
     UpperFamilyKind,
+    classify,
     compare,
     compare_strong_cw,
+    leq,
+    limit,
     limit_posterior,
     update,
 )
+from bayespol.construct import _conditional_pieces
 from bayespol.orders import _cdf_failure, _orthant_gaps, _upper_set_gaps
 from bayespol.polarization import DirectionAnalysis, DirectionTable
 from bayespol.verifier import _compositions, _draw_weights
@@ -381,3 +385,104 @@ def chain_report_eagerly(kind, mode, pl, ph, ql, qh, strong_middle, strictness, 
         posterior_high=qh,
         identified_set=identified,
     )
+
+
+def extreme_set_by_states(subset, minimal):
+    """The minimal (or maximal) members of ``subset`` from ``leq`` on states:
+    those with no other member weakly below (or above) them."""
+    members = subset.states()
+    kept = [
+        s
+        for s in members
+        if not any(t != s and (leq(t, s) if minimal else leq(s, t)) for t in members)
+    ]
+    return StateSubset.from_states(subset.space, kept)
+
+
+def build_polarizing_priors_by_subsets(space, identified):
+    """``build_polarizing_priors`` as it was before its assembly moved onto
+    masks: ``StateSubset`` antichains (here from ``leq`` on states) and
+    residuals, ``Belief.uniform_on`` residual parts, and each part mixed in
+    as a ``Belief`` at its layer weight.
+
+    Returns ``(prior_low, prior_high, epsilon, delta)``; a set the classifier
+    rejects raises ``ValueError``.
+    """
+    if not classify(space, identified).can_strongly_polarize:
+        raise ValueError("identified set fails the polarization conditions")
+    complement = identified.complement()
+    low_min = extreme_set_by_states(identified, minimal=True)
+    high_max = extreme_set_by_states(identified, minimal=False)
+    comp_max = extreme_set_by_states(complement, minimal=False)
+    comp_min = extreme_set_by_states(complement, minimal=True)
+    low_core, high_core, low_comp, high_comp, epsilon = _conditional_pieces(
+        space, low_min, high_max, comp_max, comp_min
+    )
+
+    def layers(core, core_rest, comp, comp_rest):
+        parts = []
+        for side, piece, rest in ((0, core, core_rest), (1, comp, comp_rest)):
+            if rest.is_empty:
+                parts.append((1 - side, side, piece))
+            else:
+                parts.append((2 - side, side, piece))
+                parts.append((1 - side, side + 1, Belief.uniform_on(space, rest)))
+        return parts
+
+    def mix(parts, delta):
+        masses = [Fraction(0)] * space.size
+        for a, b, part in parts:
+            weight = (1 - delta) ** a * delta**b
+            masses = [m + weight * x for m, x in zip(masses, part.masses())]
+        return Belief.from_fractions(space, masses)
+
+    low_parts = layers(
+        low_core, identified.difference(low_min), low_comp, complement.difference(comp_max)
+    )
+    high_parts = layers(
+        high_core, identified.difference(high_max), high_comp, complement.difference(comp_min)
+    )
+    delta = Fraction(1, 2)
+    while delta >= Fraction(1, 2**64):
+        if (1 - delta) * epsilon > delta and (1 - delta) ** 2 * epsilon > (
+            (1 - delta) * 2 * delta + delta**2
+        ):
+            prior_low, prior_high = mix(low_parts, delta), mix(high_parts, delta)
+            certificate = limit(
+                UpperFamilyKind.UPPER_PROJECTION,
+                prior_low,
+                prior_high,
+                identified,
+                strong_middle=True,
+            )
+            if certificate.verdict:
+                return prior_low, prior_high, epsilon, delta
+        delta /= 2
+    raise RuntimeError("delta search exhausted")
+
+
+def slice_duplications(space):
+    """For every axis and index of ``space``, the map taking a subset to the
+    grid with that slice doubled: a copy of the slice is inserted after it,
+    and the copy's states are members exactly where the slice's are."""
+
+    def duplication(axis, index):
+        shape = list(space.shape)
+        shape[axis] += 1
+        grown = StateSpace.grid(*shape)
+        sources = []
+        for state in grown.states:
+            source = list(state)
+            if source[axis] > index:
+                source[axis] -= 1
+            sources.append(space.flat(tuple(source)))
+
+        def duplicate(subset):
+            mask = 0
+            for g, f in enumerate(sources):
+                mask |= (subset.mask >> f & 1) << g
+            return StateSubset(grown, mask)
+
+        return duplicate
+
+    return [duplication(axis, index) for axis, n in enumerate(space.shape) for index in range(n)]

@@ -7,6 +7,7 @@ import pytest
 from bayespol import (
     StateSpace,
     StateSubset,
+    antichain_distributions,
     antichain_dominates,
     build_polarizing_priors,
     classify,
@@ -19,12 +20,20 @@ from bayespol.classifier import (
     _biased_down_pivot,
     _biased_up_pivot,
     _dominance_failure,
+    _extreme_mask,
     compensatory_pivot,
     compensatory_pivot_dual,
     is_spanning,
 )
 
-from conftest import DIAGONAL, GRID_2X2, GRID_3X3, OFF_DIAGONAL
+from conftest import (
+    DIAGONAL,
+    GRID_2X2,
+    GRID_3X3,
+    OFF_DIAGONAL,
+    extreme_set_by_states,
+    slice_duplications,
+)
 
 
 def _subset(space, *states):
@@ -67,6 +76,44 @@ def test_every_member_sits_above_some_minimal_element():
         assert is_antichain(minimal)
         for member in subset:
             assert any(leq(low, member) for low in minimal)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3), (3, 4), (2, 2, 2)])
+def test_the_antichain_kernel_matches_the_state_definitions(shape):
+    space = StateSpace.grid(*shape)
+    up, down = space.up_cones, space.down_cones
+    assert _extreme_mask(0, down) == _extreme_mask(0, up) == 0
+    for mask in range(1, space.full_mask + 1):
+        subset = StateSubset(space, mask)
+        lowest = extreme_set_by_states(subset, minimal=True)
+        highest = extreme_set_by_states(subset, minimal=False)
+        assert _extreme_mask(mask, down) == lowest.mask, (shape, mask)
+        assert _extreme_mask(mask, up) == highest.mask, (shape, mask)
+        assert min_set(subset) == lowest and max_set(subset) == highest
+        assert is_antichain(subset) == (lowest == subset)
+        assert is_antichain(subset) == all(
+            s == t or not leq(s, t) for s in subset for t in subset
+        )
+
+
+@pytest.mark.parametrize(
+    "function,args,name",
+    [
+        (classify, (GRID_2X2, 5), "identified"),
+        (min_set, (5,), "subset"),
+        (max_set, (5,), "subset"),
+        (is_antichain, (5,), "subset"),
+        (antichain_dominates, (GRID_2X2, 1, DIAGONAL), "low"),
+        (antichain_dominates, (GRID_2X2, DIAGONAL, 2), "high"),
+        (antichain_distributions, (GRID_2X2, 1, 8), "low"),
+        (antichain_distributions, (GRID_2X2, DIAGONAL, 8), "high"),
+        (build_polarizing_priors, (GRID_2X2, 0b0110), "identified"),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_a_mask_in_place_of_a_subset_is_refused_by_name(function, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a StateSubset, got int$"):
+        function(*args)
 
 
 # -- classify -------------------------------------------------------------------
@@ -214,6 +261,25 @@ def test_pivot_scans_match_the_state_definitions(shape):
         for scan, rows in scans.items():
             expected = _first_pivot_by_states(rows, members)
             assert scan(subset) == expected, (shape, mask, scan.__name__)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
+def test_duplicating_a_slice_keeps_the_verdict(shape):
+    # A copy of row or column i inserted after it, with I copied, leaves
+    # the characterization's verdict unchanged on every proper subset.
+    space = StateSpace.grid(*shape)
+    duplicators = slice_duplications(space)
+    checked = 0
+    for mask in range(1, space.full_mask):
+        subset = StateSubset(space, mask)
+        verdict = classify(space, subset).can_strongly_polarize
+        for duplicate in duplicators:
+            grown = duplicate(subset)
+            assert classify(grown.space, grown).can_strongly_polarize == verdict, (
+                shape, mask, grown
+            )
+            checked += 1
+    assert checked == (space.full_mask - 1) * sum(shape)
 
 
 def test_pivot_tables_are_keyed_on_the_shape_alone():

@@ -34,7 +34,15 @@ from bayespol.construct import (
 )
 from bayespol.classifier import max_set, min_set
 
-from conftest import DIAGONAL, GRID_2X2, GRID_2X3, GRID_3X3, OFF_DIAGONAL
+from conftest import (
+    DIAGONAL,
+    GRID_2X2,
+    GRID_2X3,
+    GRID_3X3,
+    OFF_DIAGONAL,
+    build_polarizing_priors_by_subsets,
+    slice_duplications,
+)
 
 ST = UpperFamilyKind.UPPER_SET
 UO = UpperFamilyKind.UPPER_ORTHANT
@@ -382,6 +390,50 @@ def test_builds_on_a_labelled_space_match_the_grid():
         assert result.prior_low.space is labelled
         assert result.prior_high.space is labelled
         assert result.certificate.prior_low.space is labelled
+
+
+def _assert_build_matches_the_subset_assembly(space, subset):
+    result = build_polarizing_priors(space, subset)
+    low, high, epsilon, delta = build_polarizing_priors_by_subsets(space, subset)
+    assert result.prior_low == low and result.prior_high == high, subset
+    assert (result.epsilon, result.delta) == (epsilon, delta), subset
+    assert result.certificate.verdict and result.certificate.strong_middle
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_mask_assembly_matches_the_subset_assembly(shape):
+    space = StateSpace.grid(*shape)
+    for subset in _passing_subsets(space):
+        _assert_build_matches_the_subset_assembly(space, subset)
+
+
+def test_mask_assembly_matches_the_subset_assembly_on_seeded_4x4_sets():
+    space = StateSpace.grid(4, 4)
+    rng = random.Random(26)
+    built = 0
+    for _ in range(3000):
+        subset = StateSubset(space, rng.randrange(1, space.full_mask))
+        if classify(space, subset).can_strongly_polarize:
+            _assert_build_matches_the_subset_assembly(space, subset)
+            built += 1
+        else:
+            with pytest.raises(ValueError, match="fails the polarization conditions"):
+                build_polarizing_priors(space, subset)
+    assert built > 1000
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (3, 3)])
+def test_builds_certify_on_a_duplicated_slice(shape):
+    # The passing sets with one row or column doubled still pass, and the
+    # builder certifies them on the larger grid.
+    space = StateSpace.grid(*shape)
+    duplicators = slice_duplications(space)
+    passing = _passing_subsets(space)
+    for subset in passing:
+        for duplicate in duplicators:
+            grown = duplicate(subset)
+            _assert_build_matches_the_subset_assembly(grown.space, grown)
+    assert len(passing) * len(duplicators) == {(2, 3): 35, (3, 2): 35, (3, 3): 840}[shape]
 
 
 # -- mirror-extremes instances -----------------------------------------------------
